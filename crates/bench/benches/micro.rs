@@ -3,8 +3,8 @@
 //! The paper claims the protocol is "of polynomial complexity ...
 //! implementable in simple wireless devices"; these benchmarks put
 //! numbers on the building blocks: GF(2^8) kernels, dense linear algebra,
-//! Reed–Solomon coding, the y/z/s construction, and a full protocol
-//! round.
+//! Reed–Solomon coding, the y/z/s construction, a full protocol round,
+//! and the datagram codec every packet on the wire goes through.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
@@ -14,9 +14,11 @@ use std::hint::black_box;
 
 use thinair_core::construct::{build_plan, PlanParams};
 use thinair_core::round::{run_group_round, RoundConfig, XSchedule};
+use thinair_core::wire::Message;
 use thinair_core::{Estimator, Tuning};
 use thinair_gf::{kernel, Gf256, Matrix, PayloadPlane};
 use thinair_mds::ReedSolomon;
+use thinair_net::frame::{crc32, Frame, NetPayload};
 use thinair_netsim::IidMedium;
 
 fn bench_gf_kernels(c: &mut Criterion) {
@@ -145,6 +147,28 @@ fn bench_full_round(c: &mut Criterion) {
     });
 }
 
+fn bench_frame_codec(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    // A data-plane frame as the bulk workload sends it: a 4 KiB z-combo.
+    let payload: Vec<u8> = (0..4096).map(|_| rng.gen()).collect();
+    c.bench_function("frame_codec/crc32_4k", |bench| bench.iter(|| crc32(black_box(&payload))));
+    let coeffs: Vec<u8> = (0..8).map(|_| rng.gen()).collect();
+    let frame = Frame {
+        flags: 0,
+        sender: 0,
+        session: 42,
+        seq: 7,
+        payload: NetPayload::Proto(Message::ZPacket { index: 7, coeffs, payload }),
+    };
+    c.bench_function("frame_codec/encode_zpacket_4k", |bench| {
+        bench.iter(|| black_box(&frame).encode())
+    });
+    let wire = frame.encode();
+    c.bench_function("frame_codec/decode_zpacket_4k", |bench| {
+        bench.iter(|| Frame::decode(black_box(&wire)).unwrap())
+    });
+}
+
 fn criterion_config() -> Criterion {
     // Keep `cargo bench` wall-time reasonable: these are smoke-level
     // latency measurements, not publication-grade statistics.
@@ -154,6 +178,7 @@ fn criterion_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = criterion_config();
-    targets = bench_gf_kernels, bench_matrix, bench_rs, bench_construction, bench_full_round
+    targets = bench_gf_kernels, bench_matrix, bench_rs, bench_construction, bench_full_round,
+        bench_frame_codec
 }
 criterion_main!(benches);

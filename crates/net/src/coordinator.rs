@@ -164,7 +164,14 @@ pub async fn run_coordinator<T: Transport>(
     // guard. (A terminal that never *received* Fin still aborts on its
     // side: it cannot know the group converged. That asymmetry is the
     // Two Generals residue documented in docs/ARCHITECTURE.md.)
-    let finish = |mut out: SessionOutcome, z_sent: u32, send_errors: u64| {
+    //
+    // Every exit through here leaves the fin barrier, so it settles that
+    // span whether the last ACK arrived or not.
+    let finish = |mut out: SessionOutcome, z_sent: u32, send_errors: u64, entered: Instant| {
+        crate::telemetry::observe(
+            crate::telemetry::phase_metric("coord", "fin barrier"),
+            entered.elapsed().as_micros() as u64,
+        );
         if let Some(trace) = out.trace.as_mut() {
             trace.z_sent = z_sent;
             trace.send_errors = send_errors;
@@ -180,7 +187,7 @@ pub async fn run_coordinator<T: Transport>(
         if rt::now() > deadline {
             if matches!(phase, Phase::FinBarrier { .. }) {
                 if let Some(out) = outcome.take() {
-                    return Ok(finish(out, z_sent, send_errs(&t)));
+                    return Ok(finish(out, z_sent, send_errs(&t), phase_entered));
                 }
             }
             let reason = AbortReason::Deadline { phase: phase.name() };
@@ -245,7 +252,7 @@ pub async fn run_coordinator<T: Transport>(
             }
             Phase::XSettle { until } => {
                 if now >= *until {
-                    let bitmap = xs.report_bitmap();
+                    let bitmap = xs.seal_report();
                     reports[me as usize] = Some(bitmap.clone());
                     let msg = Message::ReceptionReport {
                         terminal: me,
@@ -304,6 +311,7 @@ pub async fn run_coordinator<T: Transport>(
                     } else {
                         Vec::new()
                     };
+                    xs.release_store();
                     let trace = Some(SessionTrace {
                         plan_seed,
                         reports: flat,
@@ -329,6 +337,8 @@ pub async fn run_coordinator<T: Transport>(
             Phase::Fountain { next_combo } => {
                 if targets.iter().all(|p| done.contains(p)) {
                     let fin_seq = rel.send(&t, session, NetPayload::Fin, &targets)?;
+                    // Every terminal is done: the z plane is spent.
+                    fountain = FountainState::default();
                     let prev = phase.name();
                     phase = Phase::FinBarrier { fin_seq };
                     note_phase(session, me, prev, phase.name(), &mut phase_entered);
@@ -364,14 +374,8 @@ pub async fn run_coordinator<T: Transport>(
             }
             Phase::FinBarrier { fin_seq } => {
                 if rel.acked(*fin_seq) {
-                    // The terminal span of a completed session: settle
-                    // the fin-barrier histogram before returning.
-                    crate::telemetry::observe(
-                        crate::telemetry::phase_metric("coord", phase.name()),
-                        phase_entered.elapsed().as_micros() as u64,
-                    );
                     let out = outcome.take().expect("outcome set before fin");
-                    return Ok(finish(out, z_sent, send_errs(&t)));
+                    return Ok(finish(out, z_sent, send_errs(&t), phase_entered));
                 }
             }
         }
@@ -379,7 +383,7 @@ pub async fn run_coordinator<T: Transport>(
         if let Err(u) = rel.tick(&t, rt::now())? {
             if matches!(phase, Phase::FinBarrier { .. }) {
                 if let Some(out) = outcome.take() {
-                    return Ok(finish(out, z_sent, send_errs(&t)));
+                    return Ok(finish(out, z_sent, send_errs(&t), phase_entered));
                 }
             }
             let reason = AbortReason::Unreachable { missing: u.missing, attempts: u.attempts };

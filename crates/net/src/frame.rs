@@ -143,26 +143,58 @@ impl From<WireError> for FrameError {
     }
 }
 
-/// CRC-32 (IEEE 802.3), bitwise implementation with a lazily built
-/// table.
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), slicing by
+/// eight: each step folds eight input bytes through eight 256-entry
+/// tables built at compile time, instead of one byte through one table.
 pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
-        }
-        t
-    });
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][lo as u8 as usize]
+            ^ t[6][(lo >> 8) as u8 as usize]
+            ^ t[5][(lo >> 16) as u8 as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][(crc as u8 ^ b) as usize] ^ (crc >> 8);
     }
     !crc
+}
+
+/// `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[k][b]` is
+/// `CRC_TABLES[0][b]` advanced through `k` more zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 impl NetPayload {
@@ -426,5 +458,32 @@ mod tests {
     fn crc32_known_vector() {
         // "123456789" -> 0xCBF43926 (the standard check value).
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The textbook one-bit-at-a-time CRC-32, the reference the sliced
+    /// implementation must match.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference_at_unaligned_offsets() {
+        let buf: Vec<u8> =
+            (0..4103 + 8).map(|i: u32| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        let lens = (0..=64).chain([255, 4096, 4103]);
+        for len in lens {
+            for off in 0..8 {
+                let data = &buf[off..off + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "len {len} offset {off}");
+            }
+        }
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
     }
 }

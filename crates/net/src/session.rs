@@ -436,9 +436,12 @@ pub(crate) struct XState {
     x_drops: Option<Vec<bool>>,
     z_drops: Option<Vec<bool>>,
     /// Payloads this node holds (own + received), by packet id, as raw
-    /// byte rows (the kernels and the wire both speak bytes).
+    /// byte rows (the kernels and the wire both speak bytes). Frozen
+    /// once the report is out ([`XState::seal_report`]) and emptied once
+    /// the y-rows are built from it ([`XState::release_store`]).
     pub store: BTreeMap<usize, Vec<u8>>,
     received: BTreeSet<usize>,
+    sealed: bool,
 }
 
 impl XState {
@@ -458,6 +461,7 @@ impl XState {
             z_drops,
             store: BTreeMap::new(),
             received: BTreeSet::new(),
+            sealed: false,
         }
     }
 
@@ -512,14 +516,17 @@ impl XState {
 
     /// Validates and stores an incoming x-packet; silently drops
     /// anything malformed (wrong owner, impersonated sender, wrong
-    /// payload length — the UDP port is an open attack surface) and
-    /// anything the configured erasure injection erases.
+    /// payload length — the UDP port is an open attack surface),
+    /// anything the configured erasure injection erases, and anything
+    /// arriving after the report: the plan is built from the reports, so
+    /// a late x-packet can never be used.
     pub fn on_frame(&mut self, frame: &Frame) {
         let NetPayload::Proto(Message::XPacket { id, owner, payload }) = &frame.payload else {
             return;
         };
         let id = *id as usize;
-        if id < self.owners.len()
+        if !self.sealed
+            && id < self.owners.len()
             && self.owners[id] == *owner as usize
             && *owner == frame.sender
             && *owner != self.me
@@ -531,10 +538,18 @@ impl XState {
         }
     }
 
-    /// This node's reception-report bitmap (received packets only; own
-    /// packets are implicit in the ownership map).
-    pub fn report_bitmap(&self) -> Vec<u8> {
+    /// Ends this node's x phase: returns its reception-report bitmap
+    /// (received packets only; own packets are implicit in the
+    /// ownership map) and stops storing x-packets.
+    pub fn seal_report(&mut self) -> Vec<u8> {
+        self.sealed = true;
         bitmap_from_received(self.owners.len(), self.received.iter().copied())
+    }
+
+    /// Frees the payload store once the y-rows are built from it; a
+    /// finished session then holds no x payloads through its fin wait.
+    pub fn release_store(&mut self) {
+        self.store = BTreeMap::new();
     }
 }
 

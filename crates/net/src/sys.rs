@@ -1,4 +1,5 @@
-//! Thin Linux syscall bindings: `epoll`, `eventfd`, `SO_REUSEPORT`.
+//! Thin Linux syscall bindings: `epoll`, `eventfd`, `SO_REUSEPORT`,
+//! `SO_RCVBUF`.
 //!
 //! Every `unsafe` block in this crate lives in this module. The rest of
 //! the crate (and the workspace) stays `deny(unsafe_code)`; what is
@@ -14,12 +15,15 @@
 //!   frame-injection path in [`crate::shard`] needs this).
 //! * [`bind_reuseport`] — a UDP socket bound with `SO_REUSEPORT`, so N
 //!   worker shards can share one daemon address.
+//! * [`set_rcvbuf`] — sizes a socket's kernel receive buffer and reads
+//!   back what the kernel granted.
 //!
 //! The bindings are declarations of the libc symbols every Rust binary
 //! already links; no new dependency is introduced. On non-Linux targets
 //! the same API exists but [`Epoll::new`] / [`EventFd::new`] report
-//! `Unsupported` (callers fall back to the timer bridge) and
-//! [`bind_reuseport`] degrades to a plain bind.
+//! `Unsupported` (callers fall back to the timer bridge),
+//! [`bind_reuseport`] degrades to a plain bind and [`set_rcvbuf`]
+//! reports `Unsupported`.
 
 #![allow(unsafe_code)]
 
@@ -46,6 +50,7 @@ mod imp {
     const SOCK_CLOEXEC: i32 = 0o2000000;
     const SOL_SOCKET: i32 = 1;
     const SO_REUSEPORT: i32 = 15;
+    const SO_RCVBUF: i32 = 8;
     const EINTR: i32 = 4;
     const EAGAIN: i32 = 11;
 
@@ -78,6 +83,8 @@ mod imp {
         fn write(fd: i32, buf: *const u8, count: usize) -> isize;
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const i32, optlen: u32) -> i32;
+        fn getsockopt(fd: i32, level: i32, optname: i32, optval: *mut i32, optlen: *mut u32)
+            -> i32;
         fn bind(fd: i32, addr: *const SockAddrIn, addrlen: u32) -> i32;
     }
 
@@ -262,6 +269,29 @@ mod imp {
         Ok(sock)
     }
 
+    /// Requests a `bytes`-sized kernel receive buffer (`SO_RCVBUF`) and
+    /// returns the size granted. The kernel caps the request at
+    /// `net.core.rmem_max` and doubles what it keeps (the extra half
+    /// covers its bookkeeping); the value returned is halved back into
+    /// the units of the request, so `granted < bytes` means the cap bit.
+    pub fn set_rcvbuf(sock: &UdpSocket, bytes: usize) -> io::Result<usize> {
+        let want = i32::try_from(bytes).unwrap_or(i32::MAX);
+        // SAFETY: passes a 4-byte option value the kernel copies.
+        let rc = unsafe { setsockopt(sock.as_raw_fd(), SOL_SOCKET, SO_RCVBUF, &want, 4) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        let mut got: i32 = 0;
+        let mut len: u32 = 4;
+        // SAFETY: `got` and `len` are live stack values; `len` tells the
+        // kernel the buffer holds 4 bytes.
+        let rc = unsafe { getsockopt(sock.as_raw_fd(), SOL_SOCKET, SO_RCVBUF, &mut got, &mut len) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(usize::try_from(got).unwrap_or(0) / 2)
+    }
+
     // EAGAIN is referenced for documentation symmetry with drain().
     const _: i32 = EAGAIN;
 }
@@ -327,9 +357,14 @@ mod imp {
     pub fn bind_reuseport(addr: SocketAddr) -> io::Result<UdpSocket> {
         UdpSocket::bind(addr)
     }
+
+    /// Off Linux the receive buffer keeps the platform default.
+    pub fn set_rcvbuf(_sock: &UdpSocket, _bytes: usize) -> io::Result<usize> {
+        Err(unsupported())
+    }
 }
 
-pub use imp::{bind_reuseport, Epoll, EventFd};
+pub use imp::{bind_reuseport, set_rcvbuf, Epoll, EventFd};
 
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
@@ -384,5 +419,16 @@ mod tests {
         let addr = first.local_addr().expect("addr");
         let second = bind_reuseport(addr).expect("second bind on same port");
         assert_eq!(second.local_addr().expect("addr").port(), addr.port());
+    }
+
+    #[test]
+    fn rcvbuf_grant_is_read_back() {
+        let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        // The kernel floors tiny requests (SOCK_MIN_RCVBUF) and caps
+        // large ones at rmem_max; either way a grant is reported.
+        let small = set_rcvbuf(&sock, 64 * 1024).expect("set small");
+        assert!(small > 0 && small <= 64 * 1024, "granted {small}");
+        let big = set_rcvbuf(&sock, 4 << 20).expect("set big");
+        assert!(big >= small, "a larger request never shrinks the grant: {small} -> {big}");
     }
 }

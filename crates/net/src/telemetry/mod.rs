@@ -9,6 +9,11 @@
 //! * **Counters** (`counter_add`) — monotone event counts: frames
 //!   sent/received, retransmits, send errors, admissions, evictions.
 //! * **Gauges** (`gauge_set`) — point-in-time levels: open sessions.
+//!   Two gauges are read from the kernel at snapshot time instead, for
+//!   the UDP sockets this thread serves (`watch_socket`):
+//!   `net.udp.rcvbuf_bytes` (receive buffer granted) and
+//!   `net.udp.rx_kernel_drops` (datagrams the kernel dropped for want
+//!   of it).
 //! * **Histograms** (`observe`) — distributions with bounded-error
 //!   percentiles ([`hist::Histogram`]): poll latency, ready-queue
 //!   depth, timer lag, batch drain size, ACK RTT, per-phase session
@@ -52,6 +57,8 @@ struct Registry {
     timing: bool,
     ring: Option<TraceRing>,
     epoch: Instant,
+    /// `(inode, granted receive buffer)` of each watched UDP socket.
+    sockets: Vec<(u64, u64)>,
 }
 
 impl Registry {
@@ -63,8 +70,34 @@ impl Registry {
             timing: false,
             ring: None,
             epoch: Instant::now(),
+            sockets: Vec::new(),
         }
     }
+
+    /// Copies the registry, plus the watched sockets for
+    /// [`with_socket_gauges`] to read once the lock is released.
+    fn copy(&self) -> (Snapshot, Vec<(u64, u64)>) {
+        let snap = Snapshot {
+            counters: self.counters.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            gauges: self.gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            hists: self.hists.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
+        };
+        (snap, self.sockets.clone())
+    }
+}
+
+/// Adds the watched sockets' kernel figures to `snap`: one read of
+/// `/proc/self/net/udp` when there are any, done outside the registry
+/// lock so the owning thread's hot path never waits on the file.
+fn with_socket_gauges((mut snap, sockets): (Snapshot, Vec<(u64, u64)>)) -> Snapshot {
+    if !sockets.is_empty() {
+        let inodes: Vec<u64> = sockets.iter().map(|&(inode, _)| inode).collect();
+        let rcvbuf = sockets.iter().map(|&(_, bytes)| bytes).sum();
+        snap.gauges.insert("net.udp.rcvbuf_bytes".to_string(), rcvbuf);
+        snap.gauges
+            .insert("net.udp.rx_kernel_drops".to_string(), crate::udp::kernel_drops(&inodes));
+    }
+    snap
 }
 
 /// One thread's registry, shareable so [`snapshot_all`] can read it
@@ -90,8 +123,12 @@ thread_local! {
     };
 }
 
+fn lock(tr: &ThreadRegistry) -> std::sync::MutexGuard<'_, Registry> {
+    tr.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn with_reg<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
-    REGISTRY.with(|r| f(&mut r.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)))
+    REGISTRY.with(|r| f(&mut lock(r)))
 }
 
 /// Adds `n` to the named counter (creating it at zero).
@@ -109,6 +146,36 @@ pub fn gauge_set(name: &'static str, v: u64) {
 /// Records `v` into the named histogram (creating it empty).
 pub fn observe(name: &'static str, v: u64) {
     with_reg(|reg| reg.hists.entry(name).or_default().record(v));
+}
+
+/// A UDP socket whose kernel figures the calling thread's snapshots
+/// report, until this guard drops.
+#[derive(Debug)]
+pub(crate) struct SocketWatch {
+    reg: Weak<ThreadRegistry>,
+    inode: u64,
+}
+
+/// Adds the socket with `inode` (granted `rcvbuf` bytes of receive
+/// buffer) to this thread's registry: every later [`snapshot`] sums its
+/// buffer into `net.udp.rcvbuf_bytes` and reads its kernel drop count
+/// into `net.udp.rx_kernel_drops`. [`reset`] keeps the watch.
+pub(crate) fn watch_socket(inode: u64, rcvbuf: u64) -> SocketWatch {
+    REGISTRY.with(|tr| {
+        lock(tr).sockets.push((inode, rcvbuf));
+        SocketWatch { reg: Arc::downgrade(tr), inode }
+    })
+}
+
+impl Drop for SocketWatch {
+    fn drop(&mut self) {
+        if let Some(tr) = self.reg.upgrade() {
+            let mut reg = lock(&tr);
+            if let Some(at) = reg.sockets.iter().position(|&(inode, _)| inode == self.inode) {
+                reg.sockets.swap_remove(at);
+            }
+        }
+    }
 }
 
 /// Enables or disables the high-frequency timing instrumentation
@@ -229,11 +296,7 @@ pub struct Snapshot {
 
 /// Copies the current thread's registry contents.
 pub fn snapshot() -> Snapshot {
-    with_reg(|reg| Snapshot {
-        counters: reg.counters.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-        gauges: reg.gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-        hists: reg.hists.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
-    })
+    with_socket_gauges(with_reg(|reg| reg.copy()))
 }
 
 /// Gathers a merged [`Snapshot`] across **every live thread's**
@@ -250,13 +313,8 @@ pub fn snapshot_all() -> Snapshot {
     let mut out = Snapshot::default();
     regs.retain(|weak| {
         let Some(tr) = weak.upgrade() else { return false };
-        let reg = tr.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let one = Snapshot {
-            counters: reg.counters.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            gauges: reg.gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            hists: reg.hists.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
-        };
-        out.merge(&one);
+        let copy = lock(&tr).copy();
+        out.merge(&with_socket_gauges(copy));
         true
     });
     out
@@ -403,6 +461,19 @@ mod tests {
         assert!(!snapshot().counters.contains_key("test.mt.worker_counter"));
         done_tx.send(()).expect("worker alive");
         worker.join().expect("worker exits cleanly");
+    }
+
+    #[test]
+    fn watched_socket_reports_kernel_figures_until_dropped() {
+        let sock = crate::udp::AsyncUdpSocket::bind("127.0.0.1:0").expect("bind");
+        let Some(inode) = sock.inode() else { return }; // no /proc here
+        let watch = watch_socket(inode, 1234);
+        let snap = snapshot();
+        assert!(snap.gauges["net.udp.rcvbuf_bytes"] >= 1234);
+        assert!(snap.gauges.contains_key("net.udp.rx_kernel_drops"));
+        drop(watch);
+        let rest = snapshot().gauges.get("net.udp.rcvbuf_bytes").copied().unwrap_or(0);
+        assert_eq!(rest, snap.gauges["net.udp.rcvbuf_bytes"] - 1234);
     }
 
     #[test]

@@ -177,7 +177,7 @@ pub async fn run_terminal<T: Transport>(
         // Reception report, once the x phase has settled.
         if let Some(at) = report_at {
             if !report_sent && now >= at {
-                let bitmap = xs.report_bitmap();
+                let bitmap = xs.seal_report();
                 reports[me as usize] = Some(bitmap.clone());
                 let msg = Message::ReceptionReport {
                     terminal: me,
@@ -231,6 +231,7 @@ pub async fn run_terminal<T: Transport>(
                     }
                     recon = Some(r);
                 }
+                xs.release_store();
             }
         }
 

@@ -271,6 +271,12 @@ pub struct UdpTransport {
     /// `timeout` entry) spawn another self-sustaining chain, compounding
     /// the poll rate over a daemon's lifetime.
     next_poll_due: Option<Instant>,
+    /// The socket's entry in the telemetry of the thread that receives
+    /// on it (kernel drops and buffer size, read at snapshot time).
+    /// Attached on the first receive, since a transport may be built on
+    /// one thread and served on another; the inner `None` means the
+    /// platform has no `/proc` row for the socket.
+    watch: Option<Option<crate::telemetry::SocketWatch>>,
 }
 
 impl UdpTransport {
@@ -299,6 +305,7 @@ impl UdpTransport {
             stats,
             poll_interval: rt::TICK,
             next_poll_due: None,
+            watch: None,
         }
     }
 
@@ -373,6 +380,11 @@ impl Transport for UdpTransport {
     }
 
     fn poll_recv(&mut self, cx: &mut Context<'_>) -> Poll<io::Result<Frame>> {
+        if self.watch.is_none() {
+            let rcvbuf = self.socket.rcvbuf_bytes() as u64;
+            self.watch =
+                Some(self.socket.inode().map(|i| crate::telemetry::watch_socket(i, rcvbuf)));
+        }
         loop {
             match self.socket.try_recv_from(&mut self.recv_buf) {
                 Ok(Some((n, from))) => {
