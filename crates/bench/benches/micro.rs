@@ -14,11 +14,13 @@ use std::hint::black_box;
 
 use thinair_core::construct::{build_plan, PlanParams};
 use thinair_core::round::{run_group_round, RoundConfig, XSchedule};
-use thinair_core::wire::Message;
+use thinair_core::wire::{bitmap_from_received, Message};
 use thinair_core::{Estimator, Tuning};
 use thinair_gf::{kernel, Gf256, Matrix, PayloadPlane};
 use thinair_mds::ReedSolomon;
 use thinair_net::frame::{crc32, Frame, NetPayload};
+use thinair_net::session::derive_plan;
+use thinair_net::SessionConfig;
 use thinair_netsim::IidMedium;
 
 fn bench_gf_kernels(c: &mut Criterion) {
@@ -128,6 +130,25 @@ fn bench_construction(c: &mut Criterion) {
             build_plan(black_box(&known), 0, n_packets, &est, &mut r, PlanParams::default())
                 .unwrap()
         })
+    });
+
+    // What every node of a `bulk`-shaped session runs once per session:
+    // 4 nodes, a 128-packet coordinator-only pool, 25 % receiver loss.
+    let cfg = SessionConfig {
+        n_nodes: 4,
+        schedule: XSchedule::CoordinatorOnly(128),
+        payload_len: 4096,
+        drop_prob: 0.25,
+        ..SessionConfig::default()
+    };
+    let reports: Vec<Vec<u8>> = (0..4)
+        .map(|node| {
+            let heard = (0..128).filter(|_| node != 0 && !rng.gen_bool(0.25));
+            bitmap_from_received(128, heard)
+        })
+        .collect();
+    c.bench_function("construct/derive_plan_bulk_4n_128pkts", |bench| {
+        bench.iter(|| derive_plan(black_box(&cfg), black_box(&reports), 7).unwrap())
     });
 }
 

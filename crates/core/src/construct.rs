@@ -134,6 +134,66 @@ impl Plan {
 }
 
 // ---------------------------------------------------------------------------
+// Packet sets.
+// ---------------------------------------------------------------------------
+
+/// A set of x-packet indices as a fixed-width bitset: bit `j % 64` of
+/// word `j / 64` marks packet `j`. The construction intersects and
+/// subset-tests these sets thousands of times per plan; on words that is
+/// a handful of `and`s instead of a tree walk per element.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct PacketSet {
+    words: Vec<u64>,
+}
+
+impl PacketSet {
+    /// The set of `indices`, sized for an `n_packets` pool (an index past
+    /// the pool widens the set rather than being lost).
+    fn from_indices(n_packets: usize, indices: impl IntoIterator<Item = usize>) -> Self {
+        let mut words = vec![0u64; n_packets.div_ceil(64)];
+        for j in indices {
+            if j / 64 >= words.len() {
+                words.resize(j / 64 + 1, 0);
+            }
+            words[j / 64] |= 1 << (j % 64);
+        }
+        PacketSet { words }
+    }
+
+    fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Keeps only the packets `other` also holds.
+    fn intersect_with(&mut self, other: &PacketSet) {
+        for (k, w) in self.words.iter_mut().enumerate() {
+            *w &= other.words.get(k).copied().unwrap_or(0);
+        }
+    }
+
+    /// Whether every packet of `self` is in `other`.
+    fn is_subset(&self, other: &PacketSet) -> bool {
+        self.words
+            .iter()
+            .enumerate()
+            .all(|(k, &w)| w & !other.words.get(k).copied().unwrap_or(0) == 0)
+    }
+
+    /// The members, ascending.
+    fn indices(&self) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.len());
+        for (k, &word) in self.words.iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                out.push(k * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+        }
+        out
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Hall ledger: incremental per-view matchings.
 // ---------------------------------------------------------------------------
 
@@ -149,10 +209,14 @@ struct ViewState {
     cap: Vec<u32>,
     used: Vec<u32>,
     row_demand: u32,
-    concede: Option<BTreeSet<usize>>,
+    concede: Option<PacketSet>,
     /// Per admitted (non-conceded) row: its support and its flow
     /// assignment `(packet, units)`.
     rows: Vec<FlowRow>,
+    /// Every change since the ledger last committed a row, oldest first:
+    /// a row that some view turns down is taken back by replaying this
+    /// log in reverse instead of restoring a copy of the whole view.
+    undo: Vec<Undo>,
 }
 
 #[derive(Clone, Debug)]
@@ -161,32 +225,57 @@ struct FlowRow {
     flow: Vec<(usize, u32)>,
 }
 
+/// One reversible change to a [`ViewState`].
+#[derive(Clone, Copy, Debug)]
+enum Undo {
+    /// A row was pushed.
+    Row,
+    /// One unit of capacity at this packet was taken.
+    Used(usize),
+    /// One unit of `row`'s flow at `packet` was added (`up`) or removed.
+    Flow { row: usize, packet: usize, up: bool },
+}
+
 impl ViewState {
     fn new(view: &EveView) -> Self {
+        let n_packets = view.miss_capacity.len();
         ViewState {
             cap: view.miss_capacity.clone(),
-            used: vec![0; view.miss_capacity.len()],
+            used: vec![0; n_packets],
             row_demand: view.row_demand,
-            concede: view.concede.clone(),
+            concede: view
+                .concede
+                .as_ref()
+                .map(|k| PacketSet::from_indices(n_packets, k.iter().copied())),
             rows: Vec::new(),
+            undo: Vec::new(),
         }
     }
 
-    fn conceded(&self, support: &[usize]) -> bool {
-        match &self.concede {
-            Some(k) => support.iter().all(|j| k.contains(j)),
-            None => false,
-        }
+    fn conceded(&self, support: &PacketSet) -> bool {
+        self.concede.as_ref().is_some_and(|k| support.is_subset(k))
     }
 
-    fn flow_at(row: &mut FlowRow, packet: usize) -> &mut u32 {
-        if let Some(pos) = row.flow.iter().position(|&(p, _)| p == packet) {
-            &mut row.flow[pos].1
+    /// Moves one unit of `row`'s flow at `packet` up or down.
+    fn shift_flow(rows: &mut [FlowRow], row: usize, packet: usize, up: bool) {
+        let flow = &mut rows[row].flow;
+        let pos = match flow.iter().position(|&(p, _)| p == packet) {
+            Some(pos) => pos,
+            None => {
+                flow.push((packet, 0));
+                flow.len() - 1
+            }
+        };
+        if up {
+            flow[pos].1 += 1;
         } else {
-            row.flow.push((packet, 0));
-            let last = row.flow.len() - 1;
-            &mut row.flow[last].1
+            flow[pos].1 -= 1;
         }
+    }
+
+    fn logged_shift(&mut self, row: usize, packet: usize, up: bool) {
+        Self::shift_flow(&mut self.rows, row, packet, up);
+        self.undo.push(Undo::Flow { row, packet, up });
     }
 
     /// Routes one unit of flow for row `r`, displacing other rows via
@@ -197,7 +286,8 @@ impl ViewState {
             let p = self.rows[r].support[si];
             if self.used[p] < self.cap[p] {
                 self.used[p] += 1;
-                *Self::flow_at(&mut self.rows[r], p) += 1;
+                self.undo.push(Undo::Used(p));
+                self.logged_shift(r, p, true);
                 return true;
             }
         }
@@ -215,8 +305,8 @@ impl ViewState {
                 }
                 visited[r2] = true;
                 if self.place_unit(r2, visited) {
-                    *Self::flow_at(&mut self.rows[r2], p) -= 1;
-                    *Self::flow_at(&mut self.rows[r], p) += 1;
+                    self.logged_shift(r2, p, false);
+                    self.logged_shift(r, p, true);
                     return true;
                 }
             }
@@ -224,27 +314,40 @@ impl ViewState {
         false
     }
 
-    /// Attempts to admit a row; restores state and returns false on
+    /// Attempts to admit a row; takes it back and returns `Rejected` on
     /// failure. `Conceded` means the view does not constrain the row
     /// (the candidate is a legitimate decoder of it).
-    fn try_add(&mut self, support: &[usize]) -> AddResult {
-        if self.conceded(support) {
+    fn try_add(&mut self, support: &[usize], set: &PacketSet) -> AddResult {
+        if self.conceded(set) {
             return AddResult::Conceded;
         }
-        let snapshot_used = self.used.clone();
-        let snapshot_rows = self.rows.clone();
         self.rows.push(FlowRow { support: support.to_vec(), flow: Vec::new() });
+        self.undo.push(Undo::Row);
         let r = self.rows.len() - 1;
         for _ in 0..self.row_demand {
             let mut visited = vec![false; self.rows.len()];
             visited[r] = true;
             if !self.place_unit(r, &mut visited) {
-                self.used = snapshot_used;
-                self.rows = snapshot_rows;
+                self.rollback();
                 return AddResult::Rejected;
             }
         }
         AddResult::Matched
+    }
+
+    /// Reverts every change since the last commit.
+    fn rollback(&mut self) {
+        while let Some(op) = self.undo.pop() {
+            match op {
+                Undo::Row => {
+                    self.rows.pop();
+                }
+                Undo::Used(p) => self.used[p] -= 1,
+                Undo::Flow { row, packet, up } => {
+                    Self::shift_flow(&mut self.rows, row, packet, !up)
+                }
+            }
+        }
     }
 }
 
@@ -273,31 +376,49 @@ impl HallLedger {
     /// so it is rejected. (Concretely: with the leave-one-out estimator, a
     /// packet received by every terminal is presumed received by Eve too.)
     pub fn try_add(&mut self, support: &[usize]) -> bool {
-        let mut done = Vec::new();
+        self.try_add_set(support, &PacketSet::from_indices(0, support.iter().copied()))
+    }
+
+    /// [`HallLedger::try_add`] for a support given both as sorted indices
+    /// and as a set.
+    fn try_add_set(&mut self, support: &[usize], set: &PacketSet) -> bool {
+        for v in &mut self.views {
+            v.undo.clear();
+        }
         let mut matched_any = false;
-        for (i, v) in self.views.iter_mut().enumerate() {
-            let snap = v.clone();
-            match v.try_add(support) {
-                AddResult::Matched => {
-                    matched_any = true;
-                    done.push((i, snap));
-                }
+        for i in 0..self.views.len() {
+            match self.views[i].try_add(support, set) {
+                AddResult::Matched => matched_any = true,
                 AddResult::Conceded => {}
                 AddResult::Rejected => {
-                    for (j, snap) in done {
-                        self.views[j] = snap;
-                    }
+                    self.views[..i].iter_mut().for_each(ViewState::rollback);
                     return false;
                 }
             }
         }
         if !matched_any {
-            for (j, snap) in done {
-                self.views[j] = snap;
-            }
+            self.views.iter_mut().for_each(ViewState::rollback);
             return false;
         }
         true
+    }
+
+    /// A support's estimated Eve-unknown capacity: the minimum, over the
+    /// views that constrain it, of the capacity the view assigns to it,
+    /// scaled by the estimator's conservatism factor. `None` when no view
+    /// constrains it (the row would be conceded everywhere — compromised
+    /// under the estimator's own hypotheses).
+    fn support_capacity(&self, support: &[usize], set: &PacketSet, scale: f64) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for view in &self.views {
+            if view.conceded(set) {
+                continue; // this view does not constrain it
+            }
+            let units: u32 = support.iter().map(|&j| view.cap.get(j).copied().unwrap_or(0)).sum();
+            let cap = ((units / view.row_demand) as f64 * scale).floor() as usize;
+            best = Some(best.map_or(cap, |b: usize| b.min(cap)));
+        }
+        best
     }
 }
 
@@ -341,27 +462,6 @@ impl PlanParams {
     pub fn exact() -> Self {
         PlanParams { max_rows: DEFAULT_MAX_ROWS, support_floor: 1, support_slack: 0 }
     }
-}
-
-/// A support's estimated Eve-unknown capacity: the minimum, over the
-/// views that constrain it, of the capacity the view assigns to it,
-/// scaled by the estimator's conservatism factor. `None` when no view
-/// constrains it (the row would be conceded everywhere — compromised
-/// under the estimator's own hypotheses).
-fn support_capacity(support: &[usize], views: &[EveView], scale: f64) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for view in views {
-        if let Some(k) = &view.concede {
-            if support.iter().all(|j| k.contains(j)) {
-                continue; // conceded: this view does not constrain it
-            }
-        }
-        let units: u32 =
-            support.iter().map(|&j| view.miss_capacity.get(j).copied().unwrap_or(0)).sum();
-        let cap = ((units / view.row_demand) as f64 * scale).floor() as usize;
-        best = Some(best.map_or(cap, |b: usize| b.min(cap)));
-    }
-    best
 }
 
 /// How many times coefficients are redrawn before giving up.
@@ -411,50 +511,55 @@ pub fn build_plan(
         budgets[i] = budgets[i].min(l_target);
     }
 
+    // Packet sets are bitsets from here on.
+    let known: Vec<PacketSet> =
+        known_sets.iter().map(|k| PacketSet::from_indices(n_packets, k.iter().copied())).collect();
+
     // 2. Hall ledger over the estimator's candidate-Eve views.
     let views = estimator.views(known_sets, n_packets);
     let mut hall = HallLedger::new(&views);
+    let scale = estimator.tuning().scale;
 
-    // 3. Greedy support selection: deepest intersections first.
-    let mut supports: Vec<Vec<usize>> = Vec::new(); // chosen rows' supports
+    // 3. Greedy support selection: deepest intersections first. Every
+    //    distinct support is kept once, in discovery order; a row is an
+    //    index into that list.
+    let mut distinct: Vec<(Vec<usize>, PacketSet)> = Vec::new();
+    let mut row_support: Vec<usize> = Vec::new(); // chosen rows
     let mut counts = vec![0usize; n]; // rows decodable per terminal
-    let mut seen_supports: BTreeSet<Vec<usize>> = BTreeSet::new();
     'levels: for g in (1..=others.len()).rev() {
-        // All supports arising as K_c ∩ ⋂_{i ∈ S} K_i for |S| = g.
-        let mut level: Vec<(Vec<usize>, Vec<usize>)> = Vec::new(); // (support, decoders)
+        // All supports arising as K_c ∩ ⋂_{i ∈ S} K_i for |S| = g, as
+        // (index into `distinct`, decoders).
+        let mut level: Vec<(usize, Vec<usize>)> = Vec::new();
         for mask in 1u32..(1 << others.len()) {
             if mask.count_ones() as usize != g {
                 continue;
             }
-            let mut t: BTreeSet<usize> = known_sets[coordinator].clone();
+            let mut t = known[coordinator].clone();
             for (bit, &i) in others.iter().enumerate() {
                 if mask & (1 << bit) != 0 {
-                    t = t.intersection(&known_sets[i]).copied().collect();
+                    t.intersect_with(&known[i]);
                 }
             }
             if t.len() < params.support_floor.max(1) {
                 continue;
             }
-            let tv: Vec<usize> = t.iter().copied().collect();
             // Decoders may exceed S; process each support exactly once, at
             // the level equal to its true decoder count.
-            let decoders: Vec<usize> = others
-                .iter()
-                .copied()
-                .filter(|&i| tv.iter().all(|j| known_sets[i].contains(j)))
-                .collect();
-            if decoders.len() != g || seen_supports.contains(&tv) {
+            let decoders: Vec<usize> =
+                others.iter().copied().filter(|&i| t.is_subset(&known[i])).collect();
+            if decoders.len() != g || distinct.iter().any(|(_, seen)| *seen == t) {
                 continue;
             }
-            seen_supports.insert(tv.clone());
-            level.push((tv, decoders));
+            distinct.push((t.indices(), t));
+            level.push((distinct.len() - 1, decoders));
         }
         // Widest supports first: more Eve-unknown budget per row.
-        level.sort_by_key(|(support, _)| std::cmp::Reverse(support.len()));
-        for (support, decoders) in level {
+        level.sort_by_key(|&(d, _)| std::cmp::Reverse(distinct[d].0.len()));
+        for (d, decoders) in level {
+            let (support, set) = &distinct[d];
             // Statistical safety: never allocate more rows on a support
             // than its estimated capacity minus the slack margin.
-            let cap = match support_capacity(&support, &views, estimator.tuning().scale) {
+            let cap = match hall.support_capacity(support, set, scale) {
                 Some(c) => c.saturating_sub(params.support_slack),
                 None => 0,
             };
@@ -464,13 +569,13 @@ pub fn build_plan(
                 if !any_deficient {
                     break;
                 }
-                if supports.len() >= params.max_rows {
+                if row_support.len() >= params.max_rows {
                     break 'levels;
                 }
-                if !hall.try_add(&support) {
+                if !hall.try_add_set(support, set) {
                     break;
                 }
-                supports.push(support.clone());
+                row_support.push(d);
                 used_here += 1;
                 for &i in &decoders {
                     counts[i] += 1;
@@ -481,41 +586,41 @@ pub fn build_plan(
 
     // 4. Decodable sets from the final supports (incidental decodability
     //    included).
+    let decoded_by: Vec<Vec<bool>> = distinct
+        .iter()
+        .map(|(_, set)| (0..n).map(|i| i == coordinator || set.is_subset(&known[i])).collect())
+        .collect();
     let decodable: Vec<Vec<usize>> = (0..n)
-        .map(|i| {
-            supports
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| i == coordinator || s.iter().all(|j| known_sets[i].contains(j)))
-                .map(|(r, _)| r)
-                .collect()
-        })
+        .map(|i| (0..row_support.len()).filter(|&r| decoded_by[row_support[r]][i]).collect())
         .collect();
     let l = others.iter().map(|&i| decodable[i].len()).min().unwrap_or(0);
     if l == 0 {
         return Ok(Plan::empty(n_packets, coordinator, n));
     }
-    let m = supports.len();
+    let m = row_support.len();
+    let row_sets: Vec<&PacketSet> = row_support.iter().map(|&d| &distinct[d].1).collect();
 
     // 5. Coefficients: random, verified, redrawn on bad luck.
-    let mut w = Matrix::zero(0, n_packets);
-    let mut rows: Vec<YRow> = Vec::new();
+    let mut w = Matrix::zero(m, n_packets);
+    let mut rows: Vec<YRow> = Vec::with_capacity(m);
     let mut ok = false;
     for _ in 0..MAX_REDRAWS {
         rows.clear();
-        w = Matrix::zero(0, n_packets);
-        for support in &supports {
+        for (r, &d) in row_support.iter().enumerate() {
+            let support = &distinct[d].0;
             let coeffs: Vec<Gf256> = loop {
                 let c: Vec<Gf256> = (0..support.len()).map(|_| Gf256(rng.gen())).collect();
                 if c.iter().any(|x| !x.is_zero()) {
                     break c;
                 }
             };
-            let row = YRow { support: support.clone(), coeffs };
-            w.push_row(&row.dense(n_packets));
-            rows.push(row);
+            let dense = w.row_mut(r);
+            for (&j, &c) in support.iter().zip(coeffs.iter()) {
+                dense[j] = c;
+            }
+            rows.push(YRow { support: support.clone(), coeffs });
         }
-        if verify_coefficients(&w, &rows, &views) {
+        if generic_ranks_hold(&w, &row_sets, &hall.views) {
             ok = true;
             break;
         }
@@ -535,8 +640,17 @@ pub fn build_plan(
 
 /// Checks that the drawn coefficients realize the generic ranks the Hall
 /// argument promises, for every candidate view we can express as a column
-/// restriction. (Also used by the unicast baseline for its pad blocks.)
+/// restriction. (Used by the unicast baseline for its pad blocks.)
 pub(crate) fn verify_coefficients(w: &Matrix, rows: &[YRow], views: &[EveView]) -> bool {
+    let sets: Vec<PacketSet> =
+        rows.iter().map(|r| PacketSet::from_indices(w.cols(), r.support.iter().copied())).collect();
+    let row_sets: Vec<&PacketSet> = sets.iter().collect();
+    generic_ranks_hold(w, &row_sets, &HallLedger::new(views).views)
+}
+
+/// [`verify_coefficients`] over the ledger's views, with row `r`'s
+/// support given as the set `row_sets[r]`.
+fn generic_ranks_hold(w: &Matrix, row_sets: &[&PacketSet], views: &[ViewState]) -> bool {
     if w.rows() > 0 && w.rank() < w.rows() {
         return false;
     }
@@ -544,19 +658,16 @@ pub(crate) fn verify_coefficients(w: &Matrix, rows: &[YRow], views: &[EveView]) 
         if view.row_demand != 1 {
             continue; // fractional views have no single column set to test
         }
-        let unknown_cols: Vec<usize> = (0..w.cols())
-            .filter(|&j| view.miss_capacity.get(j).copied().unwrap_or(0) > 0)
-            .collect();
-        let active_rows: Vec<usize> = (0..rows.len())
-            .filter(|&r| match &view.concede {
-                Some(k) => !rows[r].support.iter().all(|j| k.contains(j)),
-                None => true,
-            })
-            .collect();
+        let unknown_cols: Vec<usize> =
+            (0..w.cols()).filter(|&j| view.cap.get(j).copied().unwrap_or(0) > 0).collect();
+        let active_rows: Vec<usize> =
+            (0..row_sets.len()).filter(|&r| !view.conceded(row_sets[r])).collect();
         if active_rows.is_empty() {
             continue;
         }
-        let sub = w.select_rows(&active_rows).select_columns(&unknown_cols);
+        let sub = Matrix::from_fn(active_rows.len(), unknown_cols.len(), |r, c| {
+            w[(active_rows[r], unknown_cols[c])]
+        });
         if sub.rank() < active_rows.len() {
             return false;
         }

@@ -247,9 +247,33 @@ impl Matrix {
     }
 
     /// The rank of the matrix (leaves `self` untouched).
+    ///
+    /// Forward elimination only: each pivot clears the rows below it,
+    /// and only from its own column on (everything left of it is already
+    /// zero), so no back-substitution or pivot scaling is spent on a
+    /// number that only counts pivots.
     pub fn rank(&self) -> usize {
         let mut m = self.clone();
-        m.rref_in_place().len()
+        let mut pr = 0; // next pivot row
+        for pc in 0..m.cols {
+            if pr == m.rows {
+                break;
+            }
+            let Some(sel) = (pr..m.rows).find(|&r| !m[(r, pc)].is_zero()) else {
+                continue;
+            };
+            m.swap_rows(pr, sel);
+            let inv = m[(pr, pc)].inv();
+            for r in pr + 1..m.rows {
+                let factor = m[(r, pc)];
+                if !factor.is_zero() {
+                    let (dst, src) = m.two_rows_mut(r, pr);
+                    add_assign_scaled(&mut dst[pc..], &src[pc..], factor * inv);
+                }
+            }
+            pr += 1;
+        }
+        pr
     }
 
     /// The inverse of a square matrix, or `None` when singular.

@@ -82,6 +82,37 @@ proptest! {
     }
 
     #[test]
+    fn rank_matches_rref_pivot_count(m in matrix(12)) {
+        let mut reduced = m.clone();
+        prop_assert_eq!(m.rank(), reduced.rref_in_place().len());
+    }
+
+    #[test]
+    fn rank_matches_rref_on_sparse_and_low_rank_matrices(
+        (sparse, a, b) in (1usize..=12, 1usize..=12, 1usize..=4).prop_flat_map(|(r, c, k)| {
+            (
+                // Mostly-zero entries: zero columns and dependent rows.
+                proptest::collection::vec(any::<u8>(), r * c).prop_map(move |d| {
+                    Matrix::from_fn(r, c, |i, j| {
+                        let x = d[i * c + j];
+                        Gf256(if x < 200 { 0 } else { x })
+                    })
+                }),
+                proptest::collection::vec(any::<u8>(), r * k)
+                    .prop_map(move |d| Matrix::from_fn(r, k, |i, j| Gf256(d[i * k + j]))),
+                proptest::collection::vec(any::<u8>(), k * c)
+                    .prop_map(move |d| Matrix::from_fn(k, c, |i, j| Gf256(d[i * c + j]))),
+            )
+        })
+    ) {
+        // `a * b` has rank at most k: rectangular and rank-deficient.
+        for m in [sparse, &a * &b] {
+            let mut reduced = m.clone();
+            prop_assert_eq!(m.rank(), reduced.rref_in_place().len());
+        }
+    }
+
+    #[test]
     fn rank_invariant_under_transpose(m in matrix(7)) {
         prop_assert_eq!(m.rank(), m.transpose().rank());
     }

@@ -13,10 +13,12 @@
 //!    `thinair_core::construct::build_plan`, and announces
 //!    `PlanAnnounce{seed, m, l}` — the terminals rebuild the identical
 //!    plan from the shared reports (see [`crate::session`]).
-//! 4. **Phase 2** — fountain-codes the `M − L` z-packets: random
-//!    combinations stream until every terminal has signalled `Done`
-//!    (rank complete), which absorbs any data-plane loss without
-//!    per-packet ACKs.
+//! 4. **Phase 2** — fountain-codes the `M − L` z-packets: an opening
+//!    burst sized from the terminals' own reception reports
+//!    ([`opening_burst`]), then one random combination per retransmit
+//!    interval until every terminal has signalled `Done` (rank
+//!    complete), which absorbs any data-plane loss without per-packet
+//!    ACKs.
 //! 5. **Fin** — reliably tells every terminal the session is complete.
 
 use std::collections::BTreeSet;
@@ -24,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use thinair_core::construct::Plan;
 use thinair_core::wire::Message;
 use thinair_gf::{kernel, PayloadPlane};
 
@@ -115,6 +118,7 @@ pub async fn run_coordinator<T: Transport>(
     // buffers are allocated once per session and reused for every frame.
     let mut fountain = FountainState::default();
     let mut z_sent: u32 = 0;
+    let mut opening: u32 = 0;
     let mut outcome: Option<SessionOutcome> = None;
 
     let deadline = rt::now() + cfg.deadline;
@@ -201,7 +205,9 @@ pub async fn run_coordinator<T: Transport>(
                 let fresh = dedup.admit(&t, &frame)?;
                 match frame.payload {
                     NetPayload::Ack { seq } => rel.on_ack(frame.sender, seq),
-                    NetPayload::Proto(Message::XPacket { .. }) => xs.on_frame(&frame),
+                    NetPayload::Proto(Message::XPacket { id, owner, payload }) => {
+                        xs.on_x_packet(frame.sender, id, owner, payload)
+                    }
                     NetPayload::Proto(Message::ReceptionReport {
                         terminal,
                         n_packets: np,
@@ -307,6 +313,7 @@ pub async fn run_coordinator<T: Transport>(
                             }
                         }
                         fountain.set_z(plan.c_mat.mul_plane(&y), cfg.payload_len);
+                        opening = opening_burst(&cfg, &plan, &flat);
                         plan.d_mat.mul_plane(&y).to_payloads()
                     } else {
                         Vec::new()
@@ -349,9 +356,11 @@ pub async fn run_coordinator<T: Transport>(
                         let reason = AbortReason::Unreachable { missing, attempts: z_sent };
                         return Ok(abort(reason, &reports, outcome, z_sent, send_errs(&t)));
                     }
-                    // An initial burst covers the worst-case missing-row
-                    // count; afterwards one combo per tick tops up losses.
-                    let burst = if z_sent == 0 { (fountain.z_count() + 3) as u32 } else { 1 };
+                    // The opening burst is sized from each terminal's
+                    // missing-row count and its reported delivery rate
+                    // (see `opening_burst`); afterwards one combo per
+                    // retransmit interval tops up unlucky losses.
+                    let burst = if z_sent == 0 { opening } else { 1 };
                     for _ in 0..burst {
                         // Combo indices ride the wire as u16; a fountain
                         // that outlives the index space (only reachable
@@ -392,6 +401,60 @@ pub async fn run_coordinator<T: Transport>(
     }
 }
 
+/// Combos in the fountain's opening burst: enough that every terminal
+/// most likely completes on the burst alone, over the same lossy channel
+/// that made the secret.
+///
+/// Terminal `i` must collect `need_i = m − |decodable_i|` innovative
+/// combos. Its own reception report shows what share of the x-packets
+/// sent to it arrived: `heard_i` of `sent_i` (every packet it does not
+/// own), smoothed to `q_i = (heard_i + 1) / (sent_i + 2)`. Sending `k`
+/// combos delivers `Binomial(k, q_i)` of them; the burst is
+///
+/// `max_i ⌈need_i / q_i + 2·√(need_i·(1 − q_i)) / q_i⌉`,
+///
+/// about two standard deviations above the mean number of sends that
+/// delivers `need_i`. It is capped at [`SessionConfig::z_budget`] and
+/// computed in integers, so it is a pure function of the configuration,
+/// the plan and the reports.
+pub fn opening_burst(cfg: &SessionConfig, plan: &Plan, reports: &[Vec<u8>]) -> u32 {
+    let owners = cfg.owners();
+    let m = plan.m() as u64;
+    let mut burst = 0u64;
+    for (i, bitmap) in reports.iter().enumerate() {
+        if i == cfg.coordinator as usize {
+            continue;
+        }
+        let need = m.saturating_sub(plan.decodable.get(i).map_or(0, |d| d.len()) as u64);
+        if need == 0 {
+            continue;
+        }
+        let sent = owners.iter().filter(|&&o| o != i).count() as u64;
+        let heard = (0..owners.len())
+            .filter(|&j| {
+                owners[j] != i && bitmap.get(j / 8).is_some_and(|b| b & (1 << (j % 8)) != 0)
+            })
+            .count() as u64;
+        // With q = a / b: need / q = need·b / a, and
+        // 2·√(need·(1 − q)) / q = √(4·need·(b − a)·b) / a. Only packets
+        // `i` does not own count as heard, so a < b whatever the report.
+        let (a, b) = (heard + 1, sent + 2);
+        let spread = ceil_sqrt(4 * need * (b - a) * b);
+        burst = burst.max((need * b + spread).div_ceil(a));
+    }
+    burst.min(cfg.z_budget as u64) as u32
+}
+
+/// `⌈√x⌉`.
+fn ceil_sqrt(x: u64) -> u64 {
+    let r = x.isqrt();
+    if r * r < x {
+        r + 1
+    } else {
+        r
+    }
+}
+
 /// Per-session fountain state: the z plane plus reusable combo scratch
 /// buffers, so streaming combos does not allocate per frame beyond the
 /// owned vectors the outgoing message itself needs.
@@ -411,10 +474,6 @@ impl FountainState {
 
     fn is_empty(&self) -> bool {
         self.z.is_empty()
-    }
-
-    fn z_count(&self) -> usize {
-        self.z.rows()
     }
 
     fn send_combo<T: Transport>(
@@ -455,5 +514,53 @@ impl FountainState {
         };
         t.broadcast(&frame)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use thinair_core::construct::YRow;
+    use thinair_core::round::XSchedule;
+    use thinair_core::wire::bitmap_from_received;
+
+    /// A plan with `m` rows of which terminal `i` decodes `decodes[i]`.
+    fn plan(m: usize, decodes: &[usize]) -> Plan {
+        let mut p = Plan::empty(128, 0, decodes.len());
+        p.rows = vec![YRow { support: vec![0], coeffs: vec![thinair_gf::Gf256::ONE] }; m];
+        p.decodable = decodes.iter().map(|&d| (0..d).collect()).collect();
+        p
+    }
+
+    fn cfg() -> SessionConfig {
+        SessionConfig { schedule: XSchedule::CoordinatorOnly(128), ..SessionConfig::default() }
+    }
+
+    /// Reports in which terminal `i` heard the first `heard[i]` packets.
+    fn reports(heard: &[usize]) -> Vec<Vec<u8>> {
+        heard.iter().map(|&h| bitmap_from_received(128, 0..h)).collect()
+    }
+
+    #[test]
+    fn burst_covers_the_neediest_terminal_at_its_own_loss_rate() {
+        // Terminal 1 misses 17 of 38 rows and heard 96 of 128 packets:
+        // q = 97/130, 17/q + 2·√(17·(1 − q))/q = 28.35…, so 29 combos,
+        // where z + 3 would send 20.
+        let p = plan(38, &[38, 21, 38, 30]);
+        assert_eq!(opening_burst(&cfg(), &p, &reports(&[0, 96, 128, 128])), 29);
+        // A lossier report asks for more; nothing needed asks for nothing.
+        assert_eq!(opening_burst(&cfg(), &p, &reports(&[0, 64, 128, 128])), 46);
+        let none = plan(38, &[38, 38, 38, 38]);
+        assert_eq!(opening_burst(&cfg(), &none, &reports(&[0, 96, 96, 96])), 0);
+        // The coordinator's own (empty) report never counts.
+        let only_coord = plan(38, &[0, 38, 38, 38]);
+        assert_eq!(opening_burst(&cfg(), &only_coord, &reports(&[0, 96, 96, 96])), 0);
+    }
+
+    #[test]
+    fn burst_is_capped_by_the_fountain_budget() {
+        let p = plan(38, &[38, 21, 38, 30]);
+        let tight = SessionConfig { z_budget: 10, ..cfg() };
+        assert_eq!(opening_burst(&tight, &p, &reports(&[0, 96, 128, 128])), 10);
     }
 }

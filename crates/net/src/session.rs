@@ -514,26 +514,24 @@ impl XState {
         Ok(())
     }
 
-    /// Validates and stores an incoming x-packet; silently drops
-    /// anything malformed (wrong owner, impersonated sender, wrong
-    /// payload length — the UDP port is an open attack surface),
-    /// anything the configured erasure injection erases, and anything
-    /// arriving after the report: the plan is built from the reports, so
-    /// a late x-packet can never be used.
-    pub fn on_frame(&mut self, frame: &Frame) {
-        let NetPayload::Proto(Message::XPacket { id, owner, payload }) = &frame.payload else {
-            return;
-        };
-        let id = *id as usize;
+    /// Validates and stores an x-packet that arrived from `sender`,
+    /// moving its payload into the store; silently drops anything
+    /// malformed (wrong owner, impersonated sender, wrong payload length
+    /// — the UDP port is an open attack surface), anything the
+    /// configured erasure injection erases, and anything arriving after
+    /// the report: the plan is built from the reports, so a late
+    /// x-packet can never be used.
+    pub fn on_x_packet(&mut self, sender: u8, id: u16, owner: u8, payload: Vec<u8>) {
+        let id = id as usize;
         if !self.sealed
             && id < self.owners.len()
-            && self.owners[id] == *owner as usize
-            && *owner == frame.sender
-            && *owner != self.me
+            && self.owners[id] == owner as usize
+            && owner == sender
+            && owner != self.me
             && payload.len() == self.cfg.payload_len
             && !self.drops(DataKind::X, id as u64)
         {
-            self.store.insert(id, payload.clone());
+            self.store.insert(id, payload);
             self.received.insert(id);
         }
     }
@@ -803,9 +801,10 @@ impl Reconstructor {
     }
 
     /// Offers one fountain combo (coefficients over the z-packets, and
-    /// the combined payload). Returns `true` when the combo was
-    /// innovative for this node.
-    pub fn offer(&mut self, coeffs: &[u8], payload: &[u8]) -> bool {
+    /// the combined payload), taking ownership so a kept combo is moved,
+    /// not copied. Returns `true` when the combo was innovative for this
+    /// node.
+    pub fn offer(&mut self, coeffs: Vec<u8>, payload: Vec<u8>) -> bool {
         if self.complete() {
             return false;
         }
@@ -813,9 +812,9 @@ impl Reconstructor {
         if coeffs.len() != z_count || payload.len() != self.payload_len {
             return false; // malformed or stale combo
         }
-        let qc: Vec<u8> = self.missing.iter().map(|&col| self.project(coeffs, col)).collect();
+        let qc: Vec<u8> = self.missing.iter().map(|&col| self.project(&coeffs, col)).collect();
         if self.tracker.insert_bytes(&qc) {
-            self.combos.push((coeffs.to_vec(), payload.to_vec()));
+            self.combos.push((coeffs, payload));
             true
         } else {
             false

@@ -125,7 +125,9 @@ pub async fn run_terminal<T: Transport>(
                             report_at = Some(rt::now() + cfg.x_settle);
                         }
                     }
-                    NetPayload::Proto(Message::XPacket { .. }) => xs.on_frame(&frame),
+                    NetPayload::Proto(Message::XPacket { id, owner, payload }) => {
+                        xs.on_x_packet(frame.sender, id, owner, payload)
+                    }
                     NetPayload::Proto(Message::ReceptionReport {
                         terminal,
                         n_packets: np,
@@ -152,13 +154,14 @@ pub async fn run_terminal<T: Transport>(
                     {
                         match recon.as_mut() {
                             Some(r) => {
-                                r.offer(&coeffs, &payload);
+                                r.offer(coeffs, payload);
                             }
-                            // The solver can use at most M innovative
-                            // combos; cap the pre-plan buffer so a
-                            // spoofed z-stream cannot grow it without
-                            // bound.
-                            None if z_buffer.len() < 2 * cfg.plan_params.max_rows => {
+                            None if buffers_combo(
+                                outcome.is_some(),
+                                z_buffer.len(),
+                                cfg.plan_params.max_rows,
+                            ) =>
+                            {
                                 z_buffer.push((coeffs, payload))
                             }
                             None => {}
@@ -227,7 +230,7 @@ pub async fn run_terminal<T: Transport>(
                 } else {
                     let mut r = Reconstructor::new(plan, cfg.payload_len, me, &xs.store);
                     for (coeffs, payload) in z_buffer.drain(..) {
-                        r.offer(&coeffs, &payload);
+                        r.offer(coeffs, payload);
                     }
                     recon = Some(r);
                 }
@@ -301,6 +304,17 @@ pub async fn run_terminal<T: Transport>(
     }
 }
 
+/// Whether a z-combo that arrives with no reconstructor goes into the
+/// pre-plan buffer, given whether this terminal already holds its
+/// outcome and how many combos wait there. The solver can use at most M
+/// innovative combos, so the buffer is capped at twice the row cap and a
+/// spoofed z-stream cannot grow it without bound. Once the outcome
+/// exists nothing reads a combo again, so the burst's surplus is dropped
+/// instead of being held through the post-`Fin` linger.
+fn buffers_combo(derived: bool, buffered: usize, max_rows: usize) -> bool {
+    !derived && buffered < 2 * max_rows
+}
+
 /// Settles telemetry for a completed terminal session: the final
 /// phase's span lands in its `phase.term.*` histogram and the trace
 /// records the successful end.
@@ -323,5 +337,21 @@ fn phase_name(started: bool, report_sent: bool, announced: bool, derived: bool) 
         "z fountain"
     } else {
         "await fin"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn combos_are_buffered_only_before_the_outcome() {
+        // Before the plan: buffered up to twice the row cap.
+        assert!(buffers_combo(false, 0, 120));
+        assert!(buffers_combo(false, 239, 120));
+        assert!(!buffers_combo(false, 240, 120));
+        // After the secret (or an l = 0 round): surplus burst combos are
+        // dropped, not held through the linger.
+        assert!(!buffers_combo(true, 0, 120));
     }
 }

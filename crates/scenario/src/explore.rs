@@ -951,6 +951,77 @@ mod tests {
         assert!(r.reduction_factor >= 1.0);
     }
 
+    /// Runs `spec` with every delivery `lost` selects turned into a drop,
+    /// one decision at a time: the replayed prefix is deterministic, so
+    /// each run extends the last.
+    fn run_losing(
+        spec: &ExploreSpec,
+        base: std::time::Instant,
+        lost: impl Fn(&ExploreEvent) -> bool,
+    ) -> (RunRecord, Vec<SessionOutcome>) {
+        let mut path: Vec<Choice> = Vec::new();
+        loop {
+            let (rec, outcomes) = run_one(spec, &path, base);
+            let Some(d) = rec.events.iter().position(|e| e.action == "deliver" && lost(e)) else {
+                return (rec, outcomes);
+            };
+            let Choice::Deliver(rank) = rec.taken[d] else { unreachable!("a delivery") };
+            path = rec.taken[..d].to_vec();
+            path.push(Choice::Drop(rank));
+        }
+    }
+
+    #[test]
+    fn a_terminal_that_loses_the_whole_opening_burst_completes_on_top_ups() {
+        use thinair_net::coordinator::opening_burst;
+        use thinair_net::session::derive_plan;
+
+        let spec = ExploreSpec {
+            name: "burst_lost".into(),
+            x_packets: 12,
+            depth: usize::MAX,
+            drop_budget: usize::MAX,
+            ..ExploreSpec::default()
+        };
+        let base = std::time::Instant::now();
+        // x-packets go out with consecutive seqs. Terminal 1 loses the
+        // first four and terminal 2 the next four, so each decodes rows
+        // the other cannot and both need z-combos.
+        let (rec, _) = run_one(&spec, &[], base);
+        let mut x_seqs: Vec<u32> =
+            rec.events.iter().filter(|e| e.kind == "XPacket").map(|e| e.seq).collect();
+        x_seqs.sort_unstable();
+        x_seqs.dedup();
+        let x_lost = |e: &ExploreEvent| {
+            let rank = x_seqs.iter().position(|&s| s == e.seq).unwrap_or(usize::MAX);
+            e.kind == "XPacket"
+                && ((e.dst == 1 && rank < 4) || (e.dst == 2 && (4..8).contains(&rank)))
+        };
+        let (_, outcomes) = run_losing(&spec, base, x_lost);
+        let cfg = spec.session_config();
+        let trace = outcomes[0].trace.as_ref().expect("coordinator trace");
+        let plan = derive_plan(&cfg, &trace.reports, trace.plan_seed).expect("plan rebuilds");
+        assert!(plan.m() > plan.decodable[1].len(), "terminal 1 must need combos");
+        let burst = opening_burst(&cfg, &plan, &trace.reports);
+        // Now terminal 1 also loses every combo of the opening burst.
+        let burst_lost = |e: &ExploreEvent| e.kind == "ZPacket" && e.dst == 1 && e.seq < burst;
+        let (rec, outcomes) = run_losing(&spec, base, |e| x_lost(e) || burst_lost(e));
+        let dropped = rec.events.iter().filter(|e| e.action == "drop" && burst_lost(e)).count();
+        assert_eq!(dropped, burst as usize, "the whole opening burst is lost for terminal 1");
+        assert!(
+            rec.events.iter().any(|e| e.action == "deliver"
+                && e.kind == "ZPacket"
+                && e.dst == 1
+                && e.seq >= burst),
+            "terminal 1 is served by top-ups"
+        );
+        assert!(
+            matches!(audit_session(&outcomes), SessionVerdict::Agreed { .. }),
+            "top-ups complete the session: {:?}",
+            outcomes.iter().map(|o| &o.abort).collect::<Vec<_>>()
+        );
+    }
+
     #[test]
     fn seeded_bug_is_found_and_shrunk_to_a_minimal_trace() {
         let r = explore(&explore_bug_spec(1)).expect("explores");
