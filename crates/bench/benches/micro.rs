@@ -3,23 +3,24 @@
 //! The paper claims the protocol is "of polynomial complexity ...
 //! implementable in simple wireless devices"; these benchmarks put
 //! numbers on the building blocks: GF(2^8) kernels, dense linear algebra,
-//! Reed–Solomon coding, the y/z/s construction, a full protocol round,
-//! and the datagram codec every packet on the wire goes through.
+//! Reed–Solomon coding, the y/z/s construction, one session's payload
+//! encode and decode, a full protocol round, and the datagram codec
+//! every packet on the wire goes through.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hint::black_box;
 
 use thinair_core::construct::{build_plan, PlanParams};
 use thinair_core::round::{run_group_round, RoundConfig, XSchedule};
-use thinair_core::wire::{bitmap_from_received, Message};
+use thinair_core::wire::{bitmap_from_received, received_from_bitmap, Message};
 use thinair_core::{Estimator, Tuning};
 use thinair_gf::{kernel, Gf256, Matrix, PayloadPlane};
 use thinair_mds::ReedSolomon;
 use thinair_net::frame::{crc32, Frame, NetPayload};
-use thinair_net::session::derive_plan;
+use thinair_net::session::{derive_plan, Reconstructor};
 use thinair_net::SessionConfig;
 use thinair_netsim::IidMedium;
 
@@ -68,17 +69,9 @@ fn bench_matrix(c: &mut Criterion) {
 
     // Payload-bundle application: the y/z/s hot path (64 coefficient rows
     // acting on 64 payloads of 1 KiB each).
-    let payloads: Vec<Vec<Gf256>> =
-        (0..64).map(|_| (0..1024).map(|_| Gf256(rng.gen())).collect()).collect();
-    c.bench_function("matrix/mul_payloads_64x64_1k", |bench| {
-        bench.iter(|| black_box(&m64).mul_payloads(black_box(&payloads)))
-    });
-    let rhs = m64.mul_payloads(&payloads);
-    c.bench_function("matrix/solve_payloads_64x64_1k", |bench| {
-        bench.iter(|| black_box(&m64).solve_payloads(black_box(&rhs)).unwrap())
-    });
-    // Same ops without the Vec<Vec<_>> boundary conversions.
-    let plane = PayloadPlane::from_payloads(&payloads);
+    let plane = PayloadPlane::from_byte_rows(
+        &(0..64).map(|_| (0..1024).map(|_| rng.gen()).collect()).collect::<Vec<_>>(),
+    );
     c.bench_function("plane/mul_plane_64x64_1k", |bench| {
         bench.iter(|| black_box(&m64).mul_plane(black_box(&plane)))
     });
@@ -132,8 +125,17 @@ fn bench_construction(c: &mut Criterion) {
         })
     });
 
-    // What every node of a `bulk`-shaped session runs once per session:
-    // 4 nodes, a 128-packet coordinator-only pool, 25 % receiver loss.
+    // What every node of a `bulk`-shaped session runs once per session.
+    let (cfg, reports, _) = bulk_session(&mut rng);
+    c.bench_function("construct/derive_plan_bulk_4n_128pkts", |bench| {
+        bench.iter(|| derive_plan(black_box(&cfg), black_box(&reports), 7).unwrap())
+    });
+}
+
+/// The bulk session shape (4 nodes, a 128-packet coordinator-only pool
+/// of 4 KiB payloads) with 25 % receiver loss: its config, the nodes'
+/// reception reports, and the x payloads.
+fn bulk_session(rng: &mut StdRng) -> (SessionConfig, Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let cfg = SessionConfig {
         n_nodes: 4,
         schedule: XSchedule::CoordinatorOnly(128),
@@ -147,8 +149,54 @@ fn bench_construction(c: &mut Criterion) {
             bitmap_from_received(128, heard)
         })
         .collect();
-    c.bench_function("construct/derive_plan_bulk_4n_128pkts", |bench| {
-        bench.iter(|| derive_plan(black_box(&cfg), black_box(&reports), 7).unwrap())
+    let x: Vec<Vec<u8>> = (0..128).map(|_| (0..4096).map(|_| rng.gen()).collect()).collect();
+    (cfg, reports, x)
+}
+
+fn bench_session(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(6);
+    let (cfg, reports, x) = bulk_session(&mut rng);
+    let plan = derive_plan(&cfg, &reports, 7).unwrap();
+    let coord_store: BTreeMap<usize, Vec<u8>> = x.iter().cloned().enumerate().collect();
+    // What the coordinator computes once the plan stands: y, then the
+    // z-packets the fountain combines and its own copy of the secret.
+    c.bench_function("session/coord_encode_bulk_4n_128pkts", |bench| {
+        bench.iter(|| {
+            let y = plan.w.mul_rows(4096, |j| coord_store.get(&j).map(Vec::as_slice)).unwrap();
+            (plan.c_mat.mul_plane(&y), plan.d_mat.mul_plane(&y))
+        })
+    });
+    // Terminal 1's side: its store of heard packets, and enough fountain
+    // combos (random coefficients over the z-packets) to fill its gap.
+    let heard = received_from_bitmap(128, &reports[1]);
+    let store: BTreeMap<usize, Vec<u8>> = heard.iter().map(|&j| (j, x[j].clone())).collect();
+    let z = plan.c_mat.mul_plane(&plan.w.mul_plane(&PayloadPlane::from_byte_rows(&x)));
+    let combos: Vec<(Vec<u8>, Vec<u8>)> = (0..plan.m())
+        .map(|_| {
+            let q: Vec<u8> = (0..z.rows()).map(|_| rng.gen()).collect();
+            let mut payload = vec![0u8; 4096];
+            for (k, &qk) in q.iter().enumerate() {
+                kernel::axpy(&mut payload, z.row(k), qk);
+            }
+            (q, payload)
+        })
+        .collect();
+    // Everything a terminal does with payloads from plan to secret.
+    c.bench_function("session/reconstruct_bulk_4n_128pkts", |bench| {
+        bench.iter_batched(
+            || (store.clone(), combos.clone()),
+            |(store, combos)| {
+                let mut r = Reconstructor::new(plan.clone(), 4096, 1, store);
+                for (q, payload) in combos {
+                    if r.complete() {
+                        break;
+                    }
+                    r.offer(q, payload);
+                }
+                r.secret(1).unwrap()
+            },
+            BatchSize::SmallInput,
+        )
     });
 }
 
@@ -199,7 +247,7 @@ fn criterion_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = criterion_config();
-    targets = bench_gf_kernels, bench_matrix, bench_rs, bench_construction, bench_full_round,
-        bench_frame_codec
+    targets = bench_gf_kernels, bench_matrix, bench_rs, bench_construction, bench_session,
+        bench_full_round, bench_frame_codec
 }
 criterion_main!(benches);

@@ -51,7 +51,7 @@
 use std::collections::BTreeSet;
 
 use rand::Rng;
-use thinair_gf::{Gf256, Matrix};
+use thinair_gf::{add_assign_scaled, Gf256, Matrix};
 use thinair_mds::cauchy_matrix;
 
 use crate::error::ProtocolError;
@@ -115,6 +115,53 @@ impl Plan {
     /// The published z rows in x-coordinates (`C·W`, `(M−L)×N`).
     pub fn z_rows_x(&self) -> Matrix {
         &self.c_mat * &self.w
+    }
+
+    /// The map from what terminal `t` holds to its group secret.
+    ///
+    /// Terminal `t` holds the x-packets of its directly decodable rows
+    /// and `k` fountain combos with payloads `P = Q·z = G·y`, where `Q`
+    /// (`combo_coeffs`, `k × (M−L)`) holds each combo's coefficients over
+    /// the z-packets and `G = Q·C`. Split the y-rows into `have =
+    /// decodable[t]` and `miss`. When `A = G[:, miss]` is invertible,
+    /// `y_miss = A⁻¹·(P + G[:, have]·y_have)` (characteristic 2: `−` is
+    /// `+`), so the secret `s = D·y` is `E·x + F·P` with
+    ///
+    /// * `F = D[:, miss]·A⁻¹` (`L × k`),
+    /// * `E = (D + F·G)·W` (`L × N`): `D + F·G` vanishes on the `miss`
+    ///   columns, so `E` only reads the x-packets of `have` rows.
+    ///
+    /// Returns `[E | F]` (`L × (N + k)`), to be applied to the stacked
+    /// sources `[x ; P]`; with no missing rows (`k = 0`) that is `D·W`.
+    /// Returns `None` when `A` is not square and invertible, i.e. the
+    /// combos do not pin the missing rows down.
+    ///
+    /// All work is on coefficient rows (about `L·M·N` byte products at
+    /// most); no payload is touched.
+    pub fn secret_map(&self, terminal: usize, combo_coeffs: &Matrix) -> Option<Matrix> {
+        let have = &self.decodable[terminal];
+        let miss: Vec<usize> = (0..self.m()).filter(|r| !have.contains(r)).collect();
+        let k = combo_coeffs.rows();
+        if k != miss.len() {
+            return None;
+        }
+        if k == 0 {
+            return Some(self.secret_rows_x());
+        }
+        if combo_coeffs.cols() != self.c_mat.rows() {
+            return None;
+        }
+        let g = combo_coeffs * &self.c_mat;
+        let f = &self.d_mat.select_columns(&miss) * &g.select_columns(&miss).inverse()?;
+        let mut t = self.d_mat.clone();
+        for r in 0..t.rows() {
+            for i in 0..k {
+                add_assign_scaled(t.row_mut(r), g.row(i), f[(r, i)]);
+            }
+        }
+        let e = &t * &self.w;
+        let n = self.n_packets;
+        Some(Matrix::from_fn(self.l, n + k, |r, c| if c < n { e[(r, c)] } else { f[(r, c - n)] }))
     }
 
     /// An empty plan (no secret possible this round).

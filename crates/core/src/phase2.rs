@@ -11,11 +11,13 @@
 //!    records the corresponding x-space rows);
 //! 3. reliably broadcasts the s-rows' identities — phase 2 step 3.
 //!
-//! Every terminal then reconstructs: the y-packets it can compute directly
-//! (support ⊆ its known set), the missing ones by solving the z system,
-//! and finally the s-packets — the group secret.
+//! Every terminal then computes the s-packets — the group secret — in
+//! one product over the x-packets it knows and the fountain combos it
+//! kept, through the map [`Plan::secret_map`] derives from the plan and
+//! the combos' coefficients. No y-packet is ever materialized on a
+//! terminal.
 
-use thinair_gf::{kernel, Gf256, PayloadPlane};
+use thinair_gf::{kernel, Gf256, Matrix, PayloadPlane};
 use thinair_netsim::stats::TxClass;
 use thinair_netsim::{Medium, TxStats};
 
@@ -65,13 +67,7 @@ pub fn run_phase2(
 
     // Ground-truth y payloads (the coordinator can compute them all: every
     // support is inside her known set), one contiguous plane row per y.
-    let mut y_plane = PayloadPlane::zero(plan.rows.len(), pool.payload_len);
-    for (r, row) in plan.rows.iter().enumerate() {
-        let acc = y_plane.row_mut(r);
-        for (&j, &c) in row.support.iter().zip(row.coeffs.iter()) {
-            kernel::axpy(acc, pool.payloads.row(j), c.value());
-        }
-    }
+    let y_plane = plan.w.mul_plane(&pool.payloads);
 
     // 1. Plan announcement. The construction is a deterministic function
     // of the reception reports (now shared by all) and a seed, so the
@@ -195,14 +191,14 @@ pub fn run_phase2(
     // canonical Cauchy split, rows M−L..M of the [C;D] matrix are the
     // s-rows. Nothing further goes on the air.
 
-    // 4. Every terminal reconstructs from the combos it collected.
+    // 4. Every terminal decodes from its known x-packets and the combos
+    // it collected.
     let mut secrets: Vec<Vec<Payload>> = Vec::with_capacity(n_terminals);
     for (t, combos) in collected.iter().enumerate() {
         let secret_plane = if t == coordinator {
             plan.d_mat.mul_plane(&y_plane)
         } else {
-            let y_full = reconstruct_y(plan, pool, t, combos)?;
-            plan.d_mat.mul_plane(&y_full)
+            decode_secret(plan, pool, t, combos)?
         };
         secrets.push(secret_plane.to_payloads());
     }
@@ -210,75 +206,42 @@ pub fn run_phase2(
     Ok(Phase2Output { y_payloads: y_plane.to_payloads(), secrets })
 }
 
-/// A terminal's y reconstruction: direct rows from its known x-packets,
-/// the rest by solving the system given by the fountain combos it
-/// collected (`(coeffs over z-space, payload)` pairs).
-fn reconstruct_y(
+/// A terminal's group secret `E·x + F·P` ([`Plan::secret_map`]) from
+/// the x-packets it knows and the fountain combos it collected
+/// (`(coeffs over z-space, payload)` pairs).
+fn decode_secret(
     plan: &Plan,
     pool: &XPool,
     terminal: usize,
     combos: &[(Vec<Gf256>, Vec<u8>)],
 ) -> Result<PayloadPlane, ProtocolError> {
-    let m = plan.m();
-    let mut y = PayloadPlane::zero(m, pool.payload_len);
-    let mut have = vec![false; m];
-    // Direct rows.
-    for &r in &plan.decodable[terminal] {
-        let row = &plan.rows[r];
-        debug_assert!(row.support.iter().all(|j| pool.known[terminal].contains(j)));
-        let acc = y.row_mut(r);
-        for (&j, &c) in row.support.iter().zip(row.coeffs.iter()) {
-            kernel::axpy(acc, pool.payloads.row(j), c.value());
+    let coeffs = Matrix::from_rows(&combos.iter().map(|(q, _)| q.clone()).collect::<Vec<_>>());
+    let map = plan
+        .secret_map(terminal, &coeffs)
+        .ok_or(ProtocolError::DecodeFailed { terminal, what: "y-packets from z system" })?;
+    let n = plan.n_packets;
+    let known = &pool.known[terminal];
+    map.mul_rows(pool.payload_len, |j| {
+        if j < n {
+            known.contains(&j).then(|| pool.payloads.row(j))
+        } else {
+            combos.get(j - n).map(|(_, p)| p.as_slice())
         }
-        have[r] = true;
-    }
-    let missing: Vec<usize> = (0..m).filter(|r| !have[*r]).collect();
-    if !missing.is_empty() {
-        if combos.len() < missing.len() {
-            return Err(ProtocolError::DecodeFailed {
-                terminal,
-                what: "not enough z combos received",
-            });
-        }
-        let z_count = plan.c_mat.rows();
-        // Coefficient rows of the received combos over y-space: q·C.
-        let mut a = thinair_gf::Matrix::zero(0, missing.len());
-        let mut rhs = PayloadPlane::with_capacity(combos.len(), pool.payload_len);
-        for (q, payload) in combos {
-            let row: Vec<Gf256> = missing
-                .iter()
-                .map(|&col| (0..z_count).map(|k| q[k] * plan.c_mat[(k, col)]).sum::<Gf256>())
-                .collect();
-            a.push_row(&row);
-            // rhs = payload - sum over known y's of (q·C)[j]·y_j.
-            let mut acc = payload.clone();
-            for (j, &have_j) in have.iter().enumerate() {
-                if have_j {
-                    let qc_j: Gf256 = (0..z_count).map(|k| q[k] * plan.c_mat[(k, j)]).sum();
-                    kernel::axpy(&mut acc, y.row(j), qc_j.value());
-                }
-            }
-            rhs.push_row(&acc);
-        }
-        let solved = a
-            .solve_plane(&rhs)
-            .ok_or(ProtocolError::DecodeFailed { terminal, what: "y-packets from z system" })?;
-        for (pos, &r) in missing.iter().enumerate() {
-            y.row_mut(r).copy_from_slice(solved.row(pos));
-        }
-    }
-    Ok(y)
+    })
+    .ok_or(ProtocolError::DecodeFailed { terminal, what: "x-packet outside the known set" })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::construct::{build_plan, PlanParams};
+    use crate::construct::{build_plan, PlanParams, YRow};
     use crate::estimate::Estimator;
     use crate::eve::EveLedger;
     use crate::phase1::{run_phase1, Phase1Config};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
     use thinair_netsim::IidMedium;
 
     /// End-to-end phase1 + construction + phase2 over an iid medium.
@@ -287,7 +250,7 @@ mod tests {
         p: f64,
         n_packets: usize,
         seed: u64,
-    ) -> (Plan, Phase2Output, EveLedger) {
+    ) -> (Plan, Phase2Output, EveLedger, XPool) {
         let mut medium = IidMedium::symmetric(n_terminals + 1, p, seed);
         let mut stats = TxStats::new(n_terminals + 1);
         let mut eve = EveLedger::new(n_packets);
@@ -314,13 +277,222 @@ mod tests {
         )
         .unwrap();
         let out = run_phase2(&mut medium, &mut stats, &mut eve, &plan, &pool, 100_000).unwrap();
-        (plan, out, eve)
+        (plan, out, eve, pool)
+    }
+
+    /// The literal decode route of the paper, kept as the reference the
+    /// one-pass decode is checked against: the y-rows terminal `terminal`
+    /// computes directly from its known x-packets, the rest by solving the
+    /// system given by the fountain combos it collected (`(coeffs over
+    /// z-space, payload)` pairs), then `s = D·y`.
+    fn reference_secret(
+        plan: &Plan,
+        pool: &XPool,
+        terminal: usize,
+        combos: &[(Vec<Gf256>, Vec<u8>)],
+    ) -> Result<PayloadPlane, ProtocolError> {
+        let m = plan.m();
+        let mut y = PayloadPlane::zero(m, pool.payload_len);
+        let mut have = vec![false; m];
+        // Direct rows.
+        for &r in &plan.decodable[terminal] {
+            let row = &plan.rows[r];
+            debug_assert!(row.support.iter().all(|j| pool.known[terminal].contains(j)));
+            let acc = y.row_mut(r);
+            for (&j, &c) in row.support.iter().zip(row.coeffs.iter()) {
+                kernel::axpy(acc, pool.payloads.row(j), c.value());
+            }
+            have[r] = true;
+        }
+        let missing: Vec<usize> = (0..m).filter(|r| !have[*r]).collect();
+        if !missing.is_empty() {
+            if combos.len() < missing.len() {
+                return Err(ProtocolError::DecodeFailed {
+                    terminal,
+                    what: "not enough z combos received",
+                });
+            }
+            let z_count = plan.c_mat.rows();
+            // Coefficient rows of the received combos over y-space: q·C.
+            let mut a = Matrix::zero(0, missing.len());
+            let mut rhs = PayloadPlane::with_capacity(combos.len(), pool.payload_len);
+            for (q, payload) in combos {
+                let row: Vec<Gf256> = missing
+                    .iter()
+                    .map(|&col| (0..z_count).map(|k| q[k] * plan.c_mat[(k, col)]).sum::<Gf256>())
+                    .collect();
+                a.push_row(&row);
+                // rhs = payload - sum over known y's of (q·C)[j]·y_j.
+                let mut acc = payload.clone();
+                for (j, &have_j) in have.iter().enumerate() {
+                    if have_j {
+                        let qc_j: Gf256 = (0..z_count).map(|k| q[k] * plan.c_mat[(k, j)]).sum();
+                        kernel::axpy(&mut acc, y.row(j), qc_j.value());
+                    }
+                }
+                rhs.push_row(&acc);
+            }
+            let solved = a
+                .solve_plane(&rhs)
+                .ok_or(ProtocolError::DecodeFailed { terminal, what: "y-packets from z system" })?;
+            for (pos, &r) in missing.iter().enumerate() {
+                y.row_mut(r).copy_from_slice(solved.row(pos));
+            }
+        }
+        Ok(plan.d_mat.mul_plane(&y))
+    }
+
+    /// `k` fountain combos drawn as the coordinator draws them: random
+    /// coefficients `q` over the z-packets, payload `q·z`.
+    fn draw_combos(
+        plan: &Plan,
+        pool: &XPool,
+        k: usize,
+        rng: &mut StdRng,
+    ) -> Vec<(Vec<Gf256>, Vec<u8>)> {
+        use rand::Rng;
+        let z = plan.z_rows_x().mul_plane(&pool.payloads);
+        (0..k)
+            .map(|_| {
+                let q: Vec<Gf256> = (0..z.rows()).map(|_| Gf256(rng.gen())).collect();
+                let mut payload = vec![0u8; z.width()];
+                for (i, qi) in q.iter().enumerate() {
+                    kernel::axpy(&mut payload, z.row(i), qi.value());
+                }
+                (q, payload)
+            })
+            .collect()
+    }
+
+    /// Number of y-rows `terminal` cannot compute directly.
+    fn missing(plan: &Plan, terminal: usize) -> usize {
+        plan.m() - plan.decodable[terminal].len()
+    }
+
+    #[test]
+    fn one_pass_decode_matches_reference_on_built_plans() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut decoded = 0;
+        for seed in 0..8 {
+            let (plan, _, _, pool) = run_once(4, 0.4, 30, seed);
+            for t in 0..pool.known.len() {
+                let combos = draw_combos(&plan, &pool, missing(&plan, t), &mut rng);
+                let want = reference_secret(&plan, &pool, t, &combos).ok();
+                assert_eq!(decode_secret(&plan, &pool, t, &combos).ok(), want, "seed {seed} t {t}");
+                decoded += usize::from(want.is_some() && plan.l > 0);
+            }
+        }
+        assert!(decoded > 0, "no nonempty secret was decoded");
+    }
+
+    /// How the synthetic terminal's directly decodable rows are chosen.
+    #[derive(Clone, Copy, Debug)]
+    enum Have {
+        /// Every row: no combos needed (`k = 0`).
+        All,
+        /// A random subset, leaving at most `M − L` rows missing.
+        Some,
+        /// No row: every y-row must come from the combos (`k = M`).
+        None,
+    }
+
+    /// A two-terminal plan over `n` x-packets with `m` random sparse
+    /// y-rows, a Cauchy `[C; D]` and the given decodable split for
+    /// terminal 1, plus a pool in which terminal 1 knows exactly the
+    /// supports of its decodable rows.
+    fn synthetic(
+        n: usize,
+        m: usize,
+        l: usize,
+        width: usize,
+        have: Have,
+        rng: &mut StdRng,
+    ) -> (Plan, XPool) {
+        use rand::Rng;
+        let rows: Vec<YRow> = (0..m)
+            .map(|_| {
+                let support: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.4)).collect();
+                let coeffs = support.iter().map(|_| Gf256(rng.gen())).collect();
+                YRow { support, coeffs }
+            })
+            .collect();
+        let mut w = Matrix::zero(0, n);
+        for r in &rows {
+            w.push_row(&r.dense(n));
+        }
+        let decodable: Vec<usize> = match have {
+            Have::All => (0..m).collect(),
+            Have::None => Vec::new(),
+            Have::Some => {
+                let mut d: Vec<usize> = (0..m).filter(|_| rng.gen_bool(0.5)).collect();
+                for r in 0..m {
+                    if d.len() + (m - l) >= m {
+                        break;
+                    }
+                    if !d.contains(&r) {
+                        d.push(r);
+                    }
+                }
+                d.sort_unstable();
+                d
+            }
+        };
+        let known: BTreeSet<usize> =
+            decodable.iter().flat_map(|&r| rows[r].support.iter().copied()).collect();
+        let cd = thinair_mds::cauchy_matrix(m, m).unwrap();
+        let plan = Plan {
+            n_packets: n,
+            coordinator: 0,
+            rows,
+            w,
+            decodable: vec![(0..m).collect(), decodable],
+            budgets: vec![0, l],
+            l,
+            c_mat: cd.select_rows(&(0..m - l).collect::<Vec<_>>()),
+            d_mat: cd.select_rows(&(m - l..m).collect::<Vec<_>>()),
+        };
+        let mut payloads = PayloadPlane::zero(n, width);
+        for j in 0..n {
+            payloads.row_mut(j).iter_mut().for_each(|b| *b = rng.gen());
+        }
+        let pool = XPool {
+            n_packets: n,
+            payload_len: width,
+            payloads,
+            owner: vec![0; n],
+            known: vec![(0..n).collect(), known],
+        };
+        (plan, pool)
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_decode_matches_reference_on_random_plans(
+            seed in any::<u64>(),
+            n in 1usize..24,
+            m in 1usize..12,
+            l_frac in 0.0f64..=1.0,
+            width in 0usize..9,
+            have in prop_oneof![Just(Have::All), Just(Have::Some), Just(Have::None)],
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let l = (l_frac * m as f64).round() as usize;
+            let (plan, pool) = synthetic(n, m, l, width, have, &mut rng);
+            let combos = draw_combos(&plan, &pool, missing(&plan, 1), &mut rng);
+            let want = reference_secret(&plan, &pool, 1, &combos).ok();
+            prop_assert_eq!(decode_secret(&plan, &pool, 1, &combos).ok(), want.clone());
+            // With every row missing, the M − L z-packets can pin all M
+            // y-rows down only when the secret is empty.
+            if let Have::None = have {
+                prop_assert!(want.is_none() || l == 0);
+            }
+        }
     }
 
     #[test]
     fn all_terminals_agree_on_the_secret() {
         for seed in 0..5 {
-            let (plan, out, _) = run_once(4, 0.4, 30, seed);
+            let (plan, out, _, _) = run_once(4, 0.4, 30, seed);
             if plan.l == 0 {
                 continue;
             }
@@ -333,7 +505,7 @@ mod tests {
     fn oracle_estimator_yields_perfect_reliability() {
         let mut nonzero = 0;
         for seed in 10..20 {
-            let (plan, _, eve) = run_once(3, 0.5, 40, seed);
+            let (plan, _, eve, _) = run_once(3, 0.5, 40, seed);
             if plan.l == 0 {
                 continue;
             }
@@ -346,27 +518,25 @@ mod tests {
 
     #[test]
     fn secret_matches_coordinator_ground_truth() {
-        let (plan, out, _) = run_once(3, 0.3, 24, 42);
-        if plan.l == 0 {
-            return;
-        }
-        // Recompute the secret directly from x payloads via D*W.
-        let s_rows = plan.secret_rows_x();
-        for (r, secret_pkt) in out.secrets[0].iter().enumerate() {
-            let mut acc = vec![Gf256::ZERO; 16];
-            for j in 0..plan.n_packets {
-                // pool payloads not available here; compare via terminals
-                // agreeing instead — checked elsewhere. Here check shape.
-                let _ = j;
+        let mut checked = 0;
+        for seed in [42, 43, 44, 45] {
+            let (plan, out, _, pool) = run_once(3, 0.3, 24, seed);
+            if plan.l == 0 {
+                continue;
             }
-            let _ = (r, secret_pkt, &mut acc, &s_rows);
+            // s = (D·W)·x straight from the ground-truth x payloads.
+            let truth = plan.secret_rows_x().mul_plane(&pool.payloads).to_payloads();
+            for (t, secret) in out.secrets.iter().enumerate() {
+                assert_eq!(secret, &truth, "seed {seed} terminal {t}");
+            }
+            checked += 1;
         }
-        assert_eq!(out.secrets.len(), 3);
+        assert!(checked > 0, "no round produced a secret");
     }
 
     #[test]
     fn eve_ledger_accumulates_z_rows() {
-        let (plan, _, eve) = run_once(4, 0.45, 32, 77);
+        let (plan, _, eve, _) = run_once(4, 0.45, 32, 77);
         if plan.m() == plan.l {
             return; // no z-packets this time
         }

@@ -13,7 +13,7 @@ use thinair_core::estimate::Estimator;
 use thinair_core::eve::EveLedger;
 use thinair_core::phase1::{run_phase1, Phase1Config};
 use thinair_core::phase2::run_phase2;
-use thinair_gf::{Gf256, Matrix};
+use thinair_gf::{Gf256, Matrix, PayloadPlane};
 use thinair_netsim::{IidMedium, TxStats};
 
 /// FNV-1a over a byte stream (stable, dependency-free fingerprint).
@@ -93,9 +93,10 @@ fn matrix_payload_ops_are_pinned() {
     let a = Matrix::random(6, 6, &mut rng);
     let payloads: Vec<Vec<Gf256>> =
         (0..6).map(|_| (0..21).map(|_| Gf256(rng.gen())).collect()).collect();
-    let out = a.mul_payloads(&payloads);
-    assert_eq!(payloads_digest(&out), 0x4998_5DE0_2B1F_7620);
+    let plane = PayloadPlane::from_payloads(&payloads);
+    let out = a.mul_plane(&plane);
+    assert_eq!(payloads_digest(&out.to_payloads()), 0x4998_5DE0_2B1F_7620);
     if a.rank() == 6 {
-        assert_eq!(a.solve_payloads(&out).unwrap(), payloads);
+        assert_eq!(a.solve_plane(&out).unwrap(), plane);
     }
 }

@@ -172,38 +172,44 @@ impl Matrix {
         self.rows_iter().map(|row| dot(row, v)).collect()
     }
 
-    /// Applies `self` to a bundle of payload rows: returns
-    /// `self * payloads` where `payloads` is `cols x payload_len`.
-    ///
-    /// This is how y/z/s-packets are produced from x-packets: the same
-    /// coefficient row acts on every symbol position of the payloads.
-    ///
-    /// Compatibility wrapper over [`Matrix::mul_plane`]; bulk callers
-    /// should hold a [`PayloadPlane`] and call that directly.
-    pub fn mul_payloads(&self, payloads: &[Vec<Gf256>]) -> Vec<Vec<Gf256>> {
-        assert_eq!(payloads.len(), self.cols, "payload count mismatch");
-        self.mul_plane(&PayloadPlane::from_payloads(payloads)).to_payloads()
-    }
-
     /// `self * payloads` over a contiguous payload plane
     /// (`cols × width` in, `rows × width` out).
-    ///
-    /// Each input row's eight doublings are materialized once
-    /// ([`Doubles`]) and shared by every output row, so one coefficient
-    /// costs `popcount` vectorized XOR passes instead of a full
-    /// multiply.
     ///
     /// # Panics
     /// Panics when `payloads.rows() != self.cols()`.
     pub fn mul_plane(&self, payloads: &PayloadPlane) -> PayloadPlane {
         assert_eq!(payloads.rows(), self.cols, "payload count mismatch");
-        let mut out = PayloadPlane::zero(self.rows, payloads.width());
+        self.mul_rows(payloads.width(), |c| Some(payloads.row(c))).expect("every row present")
+    }
+
+    /// `self · X` where row `c` of `X` is borrowed from `src(c)`, so the
+    /// source rows can stay wherever their owner keeps them (a payload
+    /// store, a list of received packets) instead of being copied into a
+    /// plane first. Returns `None` when a column with a nonzero
+    /// coefficient has no source row; rows of all-zero columns are never
+    /// requested.
+    ///
+    /// Each source row's eight doublings are materialized once
+    /// ([`Doubles`]) and shared by every output row, so one coefficient
+    /// costs `popcount` vectorized XOR passes instead of a full
+    /// multiply.
+    ///
+    /// # Panics
+    /// Panics when a source row's length differs from `width`.
+    pub fn mul_rows<'a>(
+        &self,
+        width: usize,
+        src: impl Fn(usize) -> Option<&'a [u8]>,
+    ) -> Option<PayloadPlane> {
+        let mut out = PayloadPlane::zero(self.rows, width);
         let mut doubles = Doubles::new();
         for c in 0..self.cols {
             if (0..self.rows).all(|r| self[(r, c)].is_zero()) {
                 continue;
             }
-            doubles.set_from(payloads.row(c));
+            let row = src(c)?;
+            assert_eq!(row.len(), width, "source row {c} has the wrong width");
+            doubles.set_from(row);
             for r in 0..self.rows {
                 let coeff = self[(r, c)];
                 if !coeff.is_zero() {
@@ -211,7 +217,7 @@ impl Matrix {
                 }
             }
         }
-        out
+        Some(out)
     }
 
     /// Reduces `self` in place to *reduced row echelon form* and returns
@@ -323,20 +329,6 @@ impl Matrix {
             x[p] = aug[(r, self.cols)];
         }
         Some(x)
-    }
-
-    /// Solves `self * X = B` for a matrix of right-hand sides (columns of
-    /// `B` are independent systems). Payload-shaped: `B` is given as rows
-    /// of length `payload_len` matching `self.rows()` entries.
-    ///
-    /// Returns `None` under the same conditions as [`Matrix::solve`].
-    ///
-    /// Compatibility wrapper over [`Matrix::solve_plane`].
-    pub fn solve_payloads(&self, b: &[Vec<Gf256>]) -> Option<Vec<Vec<Gf256>>> {
-        assert_eq!(b.len(), self.rows, "solve_payloads rhs count mismatch");
-        let plen = b.first().map_or(0, |p| p.len());
-        assert!(b.iter().all(|p| p.len() == plen), "ragged rhs payloads");
-        Some(self.solve_plane(&PayloadPlane::from_payloads(b))?.to_payloads())
     }
 
     /// Solves `self * X = B` where `B` is a payload plane with one row
@@ -490,6 +482,7 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -591,32 +584,43 @@ mod tests {
     }
 
     #[test]
-    fn mul_payloads_matches_mul_vec_per_symbol() {
+    fn mul_rows_matches_mul_vec_per_symbol() {
         let mut rng = StdRng::seed_from_u64(11);
         let a = Matrix::random(3, 4, &mut rng);
-        let payloads: Vec<Vec<Gf256>> =
-            (0..4).map(|_| (0..6).map(|_| Gf256(rng.gen())).collect()).collect();
-        let out = a.mul_payloads(&payloads);
+        let payloads: Vec<Vec<u8>> = (0..4).map(|_| (0..6).map(|_| rng.gen()).collect()).collect();
+        let out = a.mul_rows(6, |c| payloads.get(c).map(Vec::as_slice)).unwrap();
         for k in 0..6 {
-            let col: Vec<Gf256> = payloads.iter().map(|p| p[k]).collect();
+            let col: Vec<Gf256> = payloads.iter().map(|p| Gf256(p[k])).collect();
             let expect = a.mul_vec(&col);
-            let got: Vec<Gf256> = out.iter().map(|o| o[k]).collect();
+            let got: Vec<Gf256> = out.rows_iter().map(|o| Gf256(o[k])).collect();
             assert_eq!(got, expect, "symbol position {k}");
         }
     }
 
     #[test]
-    fn solve_payloads_round_trip() {
+    fn mul_rows_skips_zero_columns_and_reports_missing_rows() {
+        let a = m(&[&[1, 0, 3], &[4, 0, 6]]);
+        let row = [7u8, 9];
+        // Column 1 is all zero: its row is never asked for.
+        let out = a.mul_rows(2, |c| (c != 1).then_some(&row[..])).unwrap();
+        assert_eq!(out.row(0), &[kernel::gf_mul(1 ^ 3, 7), kernel::gf_mul(1 ^ 3, 9)]);
+        // Column 2 has nonzero coefficients: withholding it fails.
+        assert!(a.mul_rows(2, |c| (c != 2).then_some(&row[..])).is_none());
+    }
+
+    #[test]
+    fn solve_plane_round_trip() {
         let mut rng = StdRng::seed_from_u64(13);
         loop {
             let a = Matrix::random(4, 4, &mut rng);
             if a.rank() < 4 {
                 continue;
             }
-            let x: Vec<Vec<Gf256>> =
-                (0..4).map(|_| (0..5).map(|_| Gf256(rng.gen())).collect()).collect();
-            let b = a.mul_payloads(&x);
-            assert_eq!(a.solve_payloads(&b), Some(x));
+            let x = PayloadPlane::from_byte_rows(
+                &(0..4).map(|_| (0..5).map(|_| rng.gen()).collect()).collect::<Vec<_>>(),
+            );
+            let b = a.mul_plane(&x);
+            assert_eq!(a.solve_plane(&b), Some(x));
             break;
         }
     }

@@ -98,14 +98,23 @@ proptest! {
     }
 
     #[test]
-    fn mul_payloads_wrapper_equals_mul_plane(
-        (m, p) in (1usize..=5, 1usize..=5).prop_flat_map(|(r, c)| {
-            (matrix(r, c), plane_exact(c, 9))
+    fn mul_rows_equals_mul_plane(
+        (m, p, zero_cols) in (1usize..=5, 1usize..=5).prop_flat_map(|(r, c)| {
+            (matrix(r, c), plane_exact(c, 9), proptest::collection::vec(any::<bool>(), c))
         })
     ) {
-        let via_plane = m.mul_plane(&p).to_payloads();
-        let via_wrapper = m.mul_payloads(&p.to_payloads());
-        prop_assert_eq!(via_plane, via_wrapper);
+        // Blank some columns: their source rows are then withheld, and
+        // must never be asked for.
+        let m = Matrix::from_fn(m.rows(), m.cols(), |r, c| {
+            if zero_cols[c] { Gf256::ZERO } else { m[(r, c)] }
+        });
+        let needed = |c: usize| (0..m.rows()).any(|r| !m[(r, c)].is_zero());
+        let via_rows = m.mul_rows(p.width(), |c| needed(c).then(|| p.row(c)));
+        prop_assert_eq!(via_rows, Some(m.mul_plane(&p)));
+        // Withholding a row that is needed fails instead.
+        if let Some(gap) = (0..m.cols()).find(|&c| needed(c)) {
+            prop_assert!(m.mul_rows(p.width(), |c| (c != gap).then(|| p.row(c))).is_none());
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl Extractor {
     /// # Panics
     /// Panics when `shared.len() != self.inputs()`.
     pub fn extract(&self, shared: &[Vec<Gf256>]) -> Vec<Vec<Gf256>> {
-        self.matrix.mul_payloads(shared)
+        self.matrix.mul_plane(&PayloadPlane::from_payloads(shared)).to_payloads()
     }
 
     /// Plane form of [`Extractor::extract`]: `k × width` in,

@@ -304,17 +304,19 @@ pub async fn run_coordinator<T: Transport>(
                     rel.send(&t, session, NetPayload::Proto(msg), &targets)?;
                     // The coordinator decodes every row directly.
                     let secret = if l > 0 {
-                        let mut y = PayloadPlane::zero(plan.rows.len(), cfg.payload_len);
-                        for (r, row) in plan.rows.iter().enumerate() {
-                            let acc = y.row_mut(r);
-                            for (&j, &c) in row.support.iter().zip(row.coeffs.iter()) {
-                                let p = xs.store.get(&j).expect("coordinator holds every support");
-                                kernel::axpy(acc, p, c.value());
-                            }
-                        }
+                        // Compute time, so a wall clock even under
+                        // virtual time.
+                        let encode_start = Instant::now();
+                        let y = plan
+                            .w
+                            .mul_rows(cfg.payload_len, |j| xs.store.get(&j).map(Vec::as_slice))
+                            .expect("coordinator holds every support");
                         fountain.set_z(plan.c_mat.mul_plane(&y), cfg.payload_len);
+                        let secret = plan.d_mat.mul_plane(&y).to_payloads();
+                        let encode_us = encode_start.elapsed().as_micros() as u64;
+                        crate::telemetry::observe("session.encode_us", encode_us);
                         opening = opening_burst(&cfg, &plan, &flat);
-                        plan.d_mat.mul_plane(&y).to_payloads()
+                        secret
                     } else {
                         Vec::new()
                     };

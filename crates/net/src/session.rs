@@ -37,7 +37,7 @@ use thinair_core::phase1::owner_order;
 use thinair_core::round::XSchedule;
 use thinair_core::wire::{bitmap_from_received, received_from_bitmap, Message};
 use thinair_core::ProtocolError;
-use thinair_gf::{kernel, Gf256, PayloadPlane, RowEchelon};
+use thinair_gf::{kernel, Gf256, Matrix, RowEchelon};
 use thinair_netsim::ErasureModel;
 
 use crate::frame::{Frame, FrameError, NetPayload};
@@ -437,8 +437,9 @@ pub(crate) struct XState {
     z_drops: Option<Vec<bool>>,
     /// Payloads this node holds (own + received), by packet id, as raw
     /// byte rows (the kernels and the wire both speak bytes). Frozen
-    /// once the report is out ([`XState::seal_report`]) and emptied once
-    /// the y-rows are built from it ([`XState::release_store`]).
+    /// once the report is out ([`XState::seal_report`]); once the plan
+    /// is known, a terminal hands it to its [`Reconstructor`] and the
+    /// coordinator empties it after building y ([`XState::release_store`]).
     pub store: BTreeMap<usize, Vec<u8>>,
     received: BTreeSet<usize>,
     sealed: bool,
@@ -544,8 +545,8 @@ impl XState {
         bitmap_from_received(self.owners.len(), self.received.iter().copied())
     }
 
-    /// Frees the payload store once the y-rows are built from it; a
-    /// finished session then holds no x payloads through its fin wait.
+    /// Frees the payload store once the plan has used it; a finished
+    /// session then holds no x payloads through its fin wait.
     pub fn release_store(&mut self) {
         self.store = BTreeMap::new();
     }
@@ -738,47 +739,56 @@ impl SessionOutcome {
     }
 }
 
-/// Incremental y/secret reconstruction for one node.
+/// Incremental secret reconstruction for one node.
 ///
-/// Directly computable rows come from the node's stored payloads; the
-/// rest accumulate fountain combos until the projected system reaches
-/// full rank, then one linear solve recovers the missing y-packets and
-/// the secret is `D·y` (identities-only: nothing about `s` ever went on
-/// the air).
+/// The node keeps the x-payloads its directly decodable rows read and
+/// accumulates fountain combos until their projection onto its missing
+/// y-rows reaches full rank. The secret is then one product over those
+/// x-payloads and combos, through the map [`Plan::secret_map`] derives
+/// from the plan and the combos' coefficients: no y-packet is ever
+/// materialized, and nothing about `s` ever went on the air.
 pub struct Reconstructor {
     plan: Plan,
     payload_len: usize,
-    /// One contiguous row per y-packet; `have[r]` marks filled rows.
-    y: PayloadPlane,
-    have: Vec<bool>,
+    /// The x-payloads in the supports of this node's decodable rows.
+    x: BTreeMap<usize, Vec<u8>>,
     missing: Vec<usize>,
     tracker: RowEchelon,
-    combos: Vec<(Vec<u8>, Vec<u8>)>,
+    /// Each kept combo's coefficients over the z-packets, one row each.
+    coeffs: Matrix,
+    /// The kept combos' payloads, parallel to `coeffs`.
+    payloads: Vec<Vec<u8>>,
 }
 
 impl Reconstructor {
-    /// Builds the reconstructor for node `me` from its payload store.
-    ///
-    /// # Panics
-    /// Panics if a directly decodable row references a payload `me`
-    /// does not hold — impossible when the plan was derived from `me`'s
-    /// own report.
-    pub fn new(plan: Plan, payload_len: usize, me: u8, store: &BTreeMap<usize, Vec<u8>>) -> Self {
-        let m = plan.m();
-        let mut y = PayloadPlane::zero(m, payload_len);
-        let mut have = vec![false; m];
-        for &r in &plan.decodable[me as usize] {
-            let row = &plan.rows[r];
-            let acc = y.row_mut(r);
-            for (&j, &c) in row.support.iter().zip(row.coeffs.iter()) {
-                let p = store.get(&j).expect("decodable row references a payload this node holds");
-                kernel::axpy(acc, p, c.value());
+    /// Builds the reconstructor for node `me`, keeping only the payloads
+    /// of `store` its directly decodable rows read.
+    pub fn new(
+        plan: Plan,
+        payload_len: usize,
+        me: u8,
+        mut store: BTreeMap<usize, Vec<u8>>,
+    ) -> Self {
+        let have = &plan.decodable[me as usize];
+        let mut used = vec![false; plan.n_packets];
+        for &r in have {
+            for &j in &plan.rows[r].support {
+                used[j] = true;
             }
-            have[r] = true;
         }
-        let missing: Vec<usize> = (0..m).filter(|r| !have[*r]).collect();
+        store.retain(|&j, _| used.get(j).copied().unwrap_or(false));
+        let missing: Vec<usize> = (0..plan.m()).filter(|r| !have.contains(r)).collect();
         let tracker = RowEchelon::new(missing.len());
-        Reconstructor { plan, payload_len, y, have, missing, tracker, combos: Vec::new() }
+        let coeffs = Matrix::zero(0, plan.c_mat.rows());
+        Reconstructor {
+            plan,
+            payload_len,
+            x: store,
+            missing,
+            tracker,
+            coeffs,
+            payloads: Vec::new(),
+        }
     }
 
     /// Rows still unknown.
@@ -814,46 +824,33 @@ impl Reconstructor {
         }
         let qc: Vec<u8> = self.missing.iter().map(|&col| self.project(&coeffs, col)).collect();
         if self.tracker.insert_bytes(&qc) {
-            self.combos.push((coeffs, payload));
+            self.coeffs.push_row(&coeffs.into_iter().map(Gf256).collect::<Vec<_>>());
+            self.payloads.push(payload);
             true
         } else {
             false
         }
     }
 
-    /// Solves for the missing y-packets and returns the group secret.
-    pub fn secret(mut self, me: u8) -> Result<Vec<Payload>, NetError> {
-        if !self.missing.is_empty() {
-            if self.combos.len() < self.missing.len() {
-                return Err(NetError::Protocol(ProtocolError::DecodeFailed {
-                    terminal: me as usize,
-                    what: "not enough z combos received",
-                }));
-            }
-            let mut a = thinair_gf::Matrix::zero(0, self.missing.len());
-            let mut rhs = PayloadPlane::with_capacity(self.combos.len(), self.payload_len);
-            for (q, payload) in &self.combos {
-                let row: Vec<Gf256> =
-                    self.missing.iter().map(|&col| Gf256(self.project(q, col))).collect();
-                a.push_row(&row);
-                let mut acc = payload.clone();
-                for (j, &have_j) in self.have.iter().enumerate() {
-                    if have_j {
-                        kernel::axpy(&mut acc, self.y.row(j), self.project(q, j));
-                    }
-                }
-                rhs.push_row(&acc);
-            }
-            let solved =
-                a.solve_plane(&rhs).ok_or(NetError::Protocol(ProtocolError::DecodeFailed {
-                    terminal: me as usize,
-                    what: "y from z system",
-                }))?;
-            for (pos, &r) in self.missing.iter().enumerate() {
-                self.y.row_mut(r).copy_from_slice(solved.row(pos));
-            }
-        }
-        Ok(self.plan.d_mat.mul_plane(&self.y).to_payloads())
+    /// The group secret `E·x + F·P` ([`Plan::secret_map`]): one
+    /// shared-doublings product over the kept x-payloads and combo
+    /// payloads. Fails with `DecodeFailed` when the combos do not pin
+    /// the missing rows down or a row the map reads is not held.
+    pub fn secret(self, me: u8) -> Result<Vec<Payload>, NetError> {
+        let failed =
+            |what| NetError::Protocol(ProtocolError::DecodeFailed { terminal: me as usize, what });
+        let map = self
+            .plan
+            .secret_map(me as usize, &self.coeffs)
+            .ok_or_else(|| failed("y from z system"))?;
+        let n = self.plan.n_packets;
+        let s = map
+            .mul_rows(self.payload_len, |j| match j.checked_sub(n) {
+                None => self.x.get(&j).map(Vec::as_slice),
+                Some(i) => self.payloads.get(i).map(Vec::as_slice),
+            })
+            .ok_or_else(|| failed("x-packet missing from the store"))?;
+        Ok(s.to_payloads())
     }
 
     /// Access to the plan (for `(m, l)` checks).
@@ -930,5 +927,110 @@ mod tests {
         let known = known_sets(&c, &reports);
         assert_eq!(known[0], [0usize, 1, 2].into_iter().collect());
         assert_eq!(known[1], [0usize, 1].into_iter().collect());
+    }
+
+    /// One decodable 4-node session, as every node sees it.
+    struct DecodeFixture {
+        plan: Plan,
+        /// The secret as the coordinator computes it, `(D·W)·x`.
+        truth: Vec<Payload>,
+        /// Each node's payload store: the x-packets it heard.
+        stores: Vec<BTreeMap<usize, Vec<u8>>>,
+        /// The z-packets the fountain combines.
+        z: Vec<Vec<u8>>,
+    }
+
+    /// A 4-node session with a 48-packet coordinator-only pool, 16-byte
+    /// payloads and 30 % loss.
+    fn decode_fixture(seed: u64) -> DecodeFixture {
+        use rand::Rng;
+        let cfg = SessionConfig {
+            n_nodes: 4,
+            schedule: XSchedule::CoordinatorOnly(48),
+            payload_len: 16,
+            ..cfg()
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let reports: Vec<Vec<u8>> = (0..4)
+            .map(|node| {
+                bitmap_from_received(48, (0..48).filter(|_| node != 0 && rng.gen_bool(0.7)))
+            })
+            .collect();
+        let plan = derive_plan(&cfg, &reports, seed).unwrap();
+        let x: Vec<Vec<u8>> = (0..48).map(|_| (0..16).map(|_| rng.gen()).collect()).collect();
+        let stores = known_sets(&cfg, &reports)
+            .iter()
+            .map(|known| known.iter().map(|&j| (j, x[j].clone())).collect())
+            .collect();
+        let from_x = |m: &Matrix| m.mul_rows(16, |j| x.get(j).map(Vec::as_slice)).unwrap();
+        let truth = from_x(&plan.secret_rows_x()).to_payloads();
+        let z = from_x(&plan.z_rows_x()).rows_iter().map(<[u8]>::to_vec).collect();
+        DecodeFixture { plan, truth, stores, z }
+    }
+
+    /// Feeds random fountain combos of `z` until `r` is complete.
+    fn fill(r: &mut Reconstructor, z: &[Vec<u8>], rng: &mut StdRng) {
+        use rand::Rng;
+        while !r.complete() {
+            let q: Vec<u8> = z.iter().map(|_| rng.gen()).collect();
+            let mut payload = vec![0u8; 16];
+            for (zk, &qk) in z.iter().zip(&q) {
+                kernel::axpy(&mut payload, zk, qk);
+            }
+            r.offer(q, payload);
+        }
+    }
+
+    #[test]
+    fn reconstructed_secret_equals_the_coordinators() {
+        let mut rng = StdRng::seed_from_u64(99);
+        let mut decoded = 0;
+        for seed in 0..6 {
+            let DecodeFixture { plan, truth, stores, z } = decode_fixture(seed);
+            if plan.l == 0 {
+                continue;
+            }
+            for me in 1..4u8 {
+                let mut r = Reconstructor::new(plan.clone(), 16, me, stores[me as usize].clone());
+                fill(&mut r, &z, &mut rng);
+                assert_eq!(r.secret(me).unwrap(), truth, "seed {seed} node {me}");
+                decoded += 1;
+            }
+        }
+        assert!(decoded > 0, "no fixture produced a secret");
+    }
+
+    #[test]
+    fn store_missing_a_support_row_fails_cleanly() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut checked = 0;
+        for seed in 0..6 {
+            let DecodeFixture { plan, stores, z, .. } = decode_fixture(seed);
+            if plan.l == 0 {
+                continue;
+            }
+            for me in 1..4u8 {
+                // Drop one x-packet a decodable row reads with a nonzero
+                // coefficient.
+                let Some(gap) = plan.decodable[me as usize].iter().find_map(|&r| {
+                    let row = &plan.rows[r];
+                    row.support.iter().zip(&row.coeffs).find(|(_, c)| !c.is_zero()).map(|(&j, _)| j)
+                }) else {
+                    continue;
+                };
+                let mut store = stores[me as usize].clone();
+                store.remove(&gap);
+                let mut r = Reconstructor::new(plan.clone(), 16, me, store);
+                fill(&mut r, &z, &mut rng);
+                match r.secret(me) {
+                    Err(NetError::Protocol(ProtocolError::DecodeFailed { terminal, .. })) => {
+                        assert_eq!(terminal, me as usize)
+                    }
+                    other => panic!("seed {seed} node {me}: expected DecodeFailed, got {other:?}"),
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no fixture had a decodable row");
     }
 }

@@ -228,7 +228,8 @@ pub async fn run_terminal<T: Transport>(
                     });
                     rel.send(&t, session, NetPayload::Done, &[cfg.coordinator])?;
                 } else {
-                    let mut r = Reconstructor::new(plan, cfg.payload_len, me, &xs.store);
+                    let store = std::mem::take(&mut xs.store);
+                    let mut r = Reconstructor::new(plan, cfg.payload_len, me, store);
                     for (coeffs, payload) in z_buffer.drain(..) {
                         r.offer(coeffs, payload);
                     }
@@ -243,7 +244,11 @@ pub async fn run_terminal<T: Transport>(
             if r.complete() {
                 let r = recon.take().expect("checked");
                 let (m, l) = (r.plan().m(), r.plan().l);
+                // Compute time, so a wall clock even under virtual time.
+                let decode_start = Instant::now();
                 let secret = r.secret(me)?;
+                let decode_us = decode_start.elapsed().as_micros() as u64;
+                crate::telemetry::observe("session.decode_us", decode_us);
                 outcome = Some(SessionOutcome {
                     session,
                     node: me,
